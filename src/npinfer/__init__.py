@@ -7,6 +7,7 @@ reproducible Monte Carlo engine.
 """
 
 from .errors import (
+    ConfigError,
     DegenerateSampleError,
     LeverageOneError,
     MonotoneObjectiveError,

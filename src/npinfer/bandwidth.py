@@ -549,67 +549,93 @@ def _edgeworth_q_hats(fit: LocPolyFit, eps: np.ndarray, z: float):
     degree q); ``eps`` are the degree-p pilot residuals.  Expectations
     over one observation become sample means; expectations over pairs and
     triples become second- and third-order U-statistic averages over
-    distinct indices (the triple sum in factorized O(n^2) form).
-    Conditional variances v(X_i) use the HC0 plug-in eps_i^2, under which
-    the E[l0^4 (eps^4 - v^2)] term vanishes identically; it is kept for
-    completeness.
+    distinct indices.  Conditional variances v(X_i) use the HC0 plug-in
+    eps_i^2, under which the E[l0^4 (eps^4 - v^2)] term vanishes
+    identically; it is kept for completeness.
+
+    No pairwise matrix is formed.  l0 and K vanish outside the kernel
+    window, so only the n_w in-window rows r_i of the scaled basis R
+    enter, and every pair and triple sum is a bilinear form through the
+    (q+1) x (q+1) matrix G^-1.  With lev_i = r_i' G^-1 r_i and
+    S_w = R' diag(w) R:
+
+    - A6: sum_ij l0_i^2 (r_i' G^-1 r_j)^2 K_j^2 e_j^2 = tr(G^-1 S_a G^-1 S_b),
+      a = l0^2, b = K^2 e^2, evaluated as sum_i a_i r_i' G^-1 S_b G^-1 r_i;
+      its diagonal is sum l0^2 K^2 e^2 lev^2.
+    - A7: with w = K l0 e^2, the row sums are R G^-1 (R' w) - w lev and the
+      row sums of squares are r_i' G^-1 S_{w^2} G^-1 r_i - (w lev)^2.
+    - A10, A11: a' L1 g = h (a . l0) sum(g) - (R'(a K))' G^-1 (R'(l0 g)),
+      minus the diagonal sum a_i L1_ii g_i.  Outside the window the
+      centred g of A11 is -center; it enters only through sum(g), and
+      the squares of A12 gain (n - n_w) center^2.
+
+    The cost is O(n_w (q+1)^2) time and O(n_w (q+1)) memory.
     """
     n = fit.u.size
     h = fit.h
-    R = fit.basis
-    kv = fit.kvals  # zero off-window
+    win = fit.in_window
+    n_out = n - int(np.count_nonzero(win))  # observations outside the window
+    R = fit.basis[win]
+    kv = fit.kvals[win]
     ginv = fit.g_inv
-    e2 = eps**2
+    e = eps[win]
+    e2 = e**2
 
     l0 = kv * (R @ ginv[0])
     sig2 = float(l0**2 @ e2 / (n * h))
     if sig2 <= 0:
         return None
 
+    P = R @ ginv  # rows r_i' G^-1
+
+    def quad(weights):
+        """r_i' G^-1 (R' diag(weights) R) G^-1 r_i for every in-window i."""
+        S = R.T @ (weights[:, None] * R)
+        return np.einsum("ij,jk,ik->i", P, S, P)
+
     lev_raw = np.einsum("ij,jk,ik->i", R, ginv, R)  # r_i' G^-1 r_i
-    A1 = float(l0**3 @ eps**3 / (n * h))
+    a_vec = l0 * e2  # l0_i v_hat_i and l0_i eps_i^2 coincide under HC0
+    w_vec = kv * a_vec
+    v = R.T @ w_vec  # R'(K l0 e^2)
+    g_vec = l0 * a_vec  # l0^2 e^2
+
+    A1 = float(l0**3 @ e**3 / (n * h))
     # l1(X_i, X_i) = h l0_i - l0_i K_i r_i' G^-1 r_i
     l1_diag = h * l0 - l0 * kv * lev_raw
     A2 = float((l0 * l1_diag) @ e2 / (n * h))
     A3 = 0.0  # E[l0^4 (eps^4 - v^2)] with v_hat = eps^2
     A4 = float((l0**2 * kv * lev_raw) @ e2 / (n * h))
-    vec1 = R.T @ (l0**3 * eps**3) / (n * h)
-    vec2 = R.T @ (kv * l0 * e2) / (n * h)
-    A5 = float(vec1 @ ginv @ vec2)
+    vec1 = R.T @ (l0**3 * e**3) / (n * h)
+    A5 = float(vec1 @ ginv @ v) / (n * h)
 
-    # pairwise and triple terms on full n x n products
-    B = R @ ginv @ R.T
-    C = B * kv[None, :]  # C[i, j] = K_j r_i' G^-1 r_j
     pair_norm = n * (n - 1)
-    g_i = l0**2
-    t_j = e2
-    C2 = C**2
-    full6 = g_i @ C2 @ t_j
-    diag6 = float(np.sum(g_i * np.diag(C2) * t_j))
+    t_vec = kv**2 * e2
+    full6 = float(l0**2 @ quad(t_vec))
+    diag6 = float(np.sum(l0**2 * t_vec * lev_raw**2))
     A6 = (full6 - diag6) / (pair_norm * h**2)
 
-    # bmat[j, i] = K_i (r_j' G^-1 r_i) l0_i e_i^2 = C[j, i] l0_i e_i^2
-    bmat = C * (l0 * e2)[None, :]
-    row_sum = bmat.sum(axis=1) - np.diag(bmat)
-    row_sq = (bmat**2).sum(axis=1) - np.diag(bmat) ** 2
+    diag7 = w_vec * lev_raw
+    row_sum = P @ v - diag7
+    row_sq = quad(w_vec**2) - diag7**2
     triple_norm = n * (n - 1) * (n - 2)
     A7 = float(l0**2 @ (row_sum**2 - row_sq)) / (triple_norm * h**3)
 
-    A8 = float(l0**4 @ eps**4 / (n * h))
+    A8 = float(l0**4 @ e**4 / (n * h))
     center = float(l0**2 @ e2 / n)  # E[l0^2 v]
-    D = l0**2 * e2 - center
-    A9 = float(D @ (l0**2 * e2) / (n * h))
+    D = g_vec - center
+    A9 = float(D @ g_vec / (n * h))
 
-    # L1[i, j] = h l0_i - l0_j C[j, i]
-    L1 = h * l0[:, None] - C.T * l0[None, :]
-    a_vec = l0 * e2  # l0_i v_hat_i and l0_i eps_i^2 coincide under HC0
-    g_vec = l0**2 * e2
-    tot10 = float(a_vec @ L1 @ g_vec) - float(np.sum(a_vec * np.diag(L1) * g_vec))
-    A10 = tot10 / (pair_norm * h**2)
-    gt_vec = g_vec - center
-    tot11 = float(a_vec @ L1 @ gt_vec) - float(np.sum(a_vec * np.diag(L1) * gt_vec))
-    A11 = tot11 / (pair_norm * h**2)
-    A12 = float(D @ D / (n * h))
+    a_l0 = float(a_vec @ l0)
+
+    def l1_form(gv, g_total):
+        """Sum over i != j of a_i L1[i, j] gv_j with
+        L1[i, j] = h l0_i - l0_j K_i r_i' G^-1 r_j; g_total sums gv over all n."""
+        full = h * a_l0 * g_total - float(v @ ginv @ (R.T @ (l0 * gv)))
+        return full - float(np.sum(a_vec * l1_diag * gv))
+
+    A10 = l1_form(g_vec, float(g_vec.sum())) / (pair_norm * h**2)
+    A11 = l1_form(D, float(D.sum()) - n_out * center) / (pair_norm * h**2)
+    A12 = float(D @ D + n_out * center**2) / (n * h)
 
     s2 = 1.0 / sig2**2
     s4 = s2 * s2

@@ -5,6 +5,10 @@ class NpinferError(Exception):
     """Base class for all library-specific errors."""
 
 
+class ConfigError(NpinferError, ValueError):
+    """A run configuration is invalid; raised before any work starts."""
+
+
 class SingularDesignError(NpinferError):
     """The local weighted least-squares problem is numerically singular."""
 

@@ -27,7 +27,7 @@ from .bandwidth import (
     silverman_rot_density,
 )
 from .density import DensitySample, density_infer
-from .errors import NpinferError, SingularDesignError, ZeroCurvatureError
+from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import kernel
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
 
@@ -194,7 +194,8 @@ class McConfig:
     or "fixed" (requires ``fixed_h``).  ``boundary`` switches the local
     polynomial selectors to the boundary rate.  ``workers`` is an
     execution detail and is excluded from the report echo so that reports
-    are byte-identical across worker counts.
+    are byte-identical across worker counts.  An invalid setting raises
+    ``ConfigError`` here, before any replication runs.
     """
 
     estimator: str  # "density" | "lpreg"
@@ -219,21 +220,33 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.estimator not in ("density", "lpreg"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.bw_rule == "fixed" and not (self.fixed_h and self.fixed_h > 0):
-            raise ValueError("fixed bandwidth rule requires a positive fixed_h")
-        if self.estimator == "lpreg" and not self.rho > 0:
-            raise ValueError("local polynomial simulations require rho > 0")
-        if self.estimator == "density" and self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.estimator == "density" and self.model not in DENSITY_MODELS:
-            raise ValueError(f"unknown density model {self.model}")
-        if self.estimator == "lpreg" and self.model not in REGRESSION_MODELS:
-            raise ValueError(f"unknown regression model {self.model}")
         object.__setattr__(self, "evaluation_points", tuple(float(x) for x in self.evaluation_points))
+        if self.estimator not in ("density", "lpreg"):
+            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.replications < 1:
+            raise ConfigError("replications must be >= 1")
+        if self.n < 2:
+            raise ConfigError(f"n must be >= 2, got {self.n!r}")
+        if not self.evaluation_points:
+            raise ConfigError("evaluation_points must not be empty")
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if self.bw_rule == "fixed" and not (
+            self.fixed_h is not None and math.isfinite(self.fixed_h) and self.fixed_h > 0
+        ):
+            raise ConfigError("fixed bandwidth rule requires a positive, finite fixed_h")
+        if self.estimator == "lpreg" and self.q <= self.p:
+            raise ConfigError(
+                f"local polynomial simulations require q > p, got p={self.p}, q={self.q}"
+            )
+        if self.estimator == "lpreg" and not self.rho > 0:
+            raise ConfigError("local polynomial simulations require rho > 0")
+        if self.estimator == "density" and self.rho < 0:
+            raise ConfigError("rho must be nonnegative")
+        if self.estimator == "density" and self.model not in DENSITY_MODELS:
+            raise ConfigError(f"unknown density model {self.model}")
+        if self.estimator == "lpreg" and self.model not in REGRESSION_MODELS:
+            raise ConfigError(f"unknown regression model {self.model}")
 
     def echo(self) -> dict:
         return {

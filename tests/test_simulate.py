@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from npinfer.errors import ConfigError, NpinferError
 from npinfer.simulate import (
     DENSITY_MODELS,
     REGRESSION_MODELS,
@@ -250,6 +251,57 @@ class TestEngine:
                 estimator="lpreg", model=5, n=100, replications=5,
                 evaluation_points=(0.0,), rho=0.0,
             )
+
+
+def _lpreg_config(**overrides):
+    settings = dict(
+        estimator="lpreg", model=5, n=100, replications=5, evaluation_points=(0.0,)
+    )
+    settings.update(overrides)
+    return McConfig(**settings)
+
+
+class TestConfigErrors:
+    """Each invalid setting fails at construction, before any replication."""
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
+        assert issubclass(ConfigError, NpinferError)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            _lpreg_config(alpha=alpha)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_sample_size_below_two(self, n):
+        with pytest.raises(ConfigError, match="n must be"):
+            _lpreg_config(n=n)
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_bias_degree_not_above_p(self, q):
+        with pytest.raises(ConfigError, match="q > p"):
+            _lpreg_config(p=1, q=q)
+
+    def test_empty_evaluation_points(self):
+        with pytest.raises(ConfigError, match="evaluation_points"):
+            _lpreg_config(evaluation_points=())
+
+    @pytest.mark.parametrize("fixed_h", [math.inf, math.nan, -0.2, 0.0])
+    def test_fixed_bandwidth_not_positive_finite(self, fixed_h):
+        with pytest.raises(ConfigError, match="fixed_h"):
+            _lpreg_config(bw_rule="fixed", fixed_h=fixed_h)
+
+    def test_density_ignores_regression_degrees(self):
+        cfg = McConfig(
+            estimator="density", model=1, n=100, replications=5,
+            evaluation_points=(0.0,), p=2, q=2,
+        )
+        assert cfg.q == cfg.p
+
+    def test_valid_config_accepted(self):
+        cfg = _lpreg_config(bw_rule="fixed", fixed_h=0.4, alpha=0.1, n=2)
+        assert cfg.evaluation_points == (0.0,)
 
 
 class TestSweep:
