@@ -58,6 +58,7 @@ from .locpoly import (
     lp_variance_us,
 )
 from .bandwidth import (
+    RULES,
     BandwidthChoice,
     CoveragePolys,
     coverage_polys_density,
@@ -69,6 +70,7 @@ from .bandwidth import (
     mse_bandwidth_lp,
     population_mse_bandwidth_density,
     rot_bandwidth,
+    select,
     silverman_rot_density,
 )
 from .simulate import (

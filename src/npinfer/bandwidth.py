@@ -36,6 +36,8 @@ from .locpoly import LocPolyFit, RegressionSample, VarianceMethod, lp_fit
 __all__ = [
     "CoveragePolys",
     "BandwidthChoice",
+    "RULES",
+    "select",
     "coverage_polys_at",
     "coverage_polys_density",
     "normal_reference_density_derivative",
@@ -769,3 +771,67 @@ def dpi_bandwidth_lp(
         return _rot_fallback("objective monotone on the search bracket")
     diag["H"] = H
     return BandwidthChoice(value=float(H * n**rate), rule="dpi", diagnostics=diag)
+
+
+# ----------------------------------------------------------------------
+# rule dispatch
+# ----------------------------------------------------------------------
+
+RULES = {"density": ("dpi", "rot", "mse", "silverman"), "lpreg": ("dpi", "rot", "mse")}
+
+
+def select(
+    rule: str,
+    sample,
+    x: float,
+    K: KernelSpec,
+    *,
+    L: KernelSpec | None = None,
+    kappa: int = 2,
+    p: int = 1,
+    boundary: bool = False,
+    alpha: float = 0.05,
+) -> BandwidthChoice:
+    """The bandwidth that ``rule`` selects for ``sample`` at x.
+
+    The estimator follows from the sample's type, and ``RULES`` names the
+    rules each estimator offers: "dpi" (coverage-error optimal, which may
+    fall back to a rule of thumb but keeps its tag), "mse" (plug-in MSE
+    optimal), "rot" (the MSE bandwidth rescaled to the coverage-error
+    rate) and, for densities, "silverman".  Density rules use the order
+    ``kappa`` and, for "dpi", the bias kernel ``L``; local polynomial rules
+    use the degree ``p`` and the ``boundary`` rate.  A degenerate Silverman
+    bandwidth raises ZeroCurvatureError and an unknown rule ValueError.
+    """
+    # selectors are looked up by module name at call time so that a
+    # patched (e.g. traced) selector is the one that runs
+    if isinstance(sample, DensitySample):
+        estimator = "density"
+    elif isinstance(sample, RegressionSample):
+        estimator = "lpreg"
+    else:
+        raise TypeError(f"expected a DensitySample or RegressionSample, got {type(sample)!r}")
+    if rule not in RULES[estimator]:
+        raise ValueError(
+            f"unknown {estimator} bandwidth rule {rule!r}; expected one of {RULES[estimator]}"
+        )
+    if estimator == "density":
+        if rule == "dpi":
+            if L is None:
+                raise ValueError("the density dpi rule needs the bias kernel L")
+            return dpi_bandwidth_density(sample, x, K, L, kappa, alpha)
+        if rule == "silverman":
+            choice = silverman_rot_density(sample, kappa)
+            if choice.diagnostics.get("invalid"):
+                raise ZeroCurvatureError("silverman bandwidth degenerate")
+            return choice
+        mse = mse_bandwidth_density_normal_ref(sample, x, kappa, K)
+        context, order = "density", kappa
+    else:
+        if rule == "dpi":
+            return dpi_bandwidth_lp(sample, x, p, boundary, K, alpha)
+        mse = mse_bandwidth_lp(sample, x, p, K, boundary=boundary)
+        context, order = ("lp-boundary" if boundary else "lp-interior"), p
+    if rule == "mse":
+        return mse
+    return rot_bandwidth(mse.value, context, order, sample.n)

@@ -19,19 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bandwidth import (
-    dpi_bandwidth_density,
-    dpi_bandwidth_lp,
-    mse_bandwidth_density_normal_ref,
-    mse_bandwidth_lp,
-    rot_bandwidth,
-    silverman_rot_density,
-)
+from .bandwidth import select
 from .density import DensitySample, density_infer
 from .errors import NpinferError, ParseError, SchemaError
 from .kernels import kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
-from .simulate import McConfig, bandwidth_grid_sweep, run_mc
+from .simulate import McConfig, bandwidth_grid_sweep, curve_rows, run_mc
 
 __all__ = ["main", "read_density_table", "read_regression_table"]
 
@@ -146,15 +139,6 @@ def _emit(result, args, argv, config, inputs):
         print(text)
 
 
-_PROVENANCE = {
-    "mse-normal-ref": "mse",
-    "silverman-rot": "silverman",
-    "rot": "rot",
-    "dpi": "dpi",
-    "fixed": "fixed",
-}
-
-
 def _resolve_workers(args) -> int:
     if getattr(args, "workers", None):
         return args.workers
@@ -168,36 +152,29 @@ def _resolve_workers(args) -> int:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _auto_density_bandwidth(args, sample, K, L):
-    rule = args.bw
-    if rule == "dpi":
-        return dpi_bandwidth_density(sample, args.x, K, L, args.kappa, args.alpha)
-    if rule == "rot":
-        h_mse = mse_bandwidth_density_normal_ref(sample, args.x, args.kappa, K).value
-        return rot_bandwidth(h_mse, "density", args.kappa, sample.n)
-    if rule == "mse":
-        return mse_bandwidth_density_normal_ref(sample, args.x, args.kappa, K)
-    if rule == "silverman":
-        return silverman_rot_density(sample, args.kappa)
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
+def _infer_bandwidth(args, sample, K, **options):
+    """(h, rule) of an infer command: the fixed --h, or what the --bw rule selects."""
+    if args.h != "auto":
+        return float(args.h), "fixed"
+    return select(args.bw, sample, args.x, K, alpha=args.alpha, **options).value, args.bw
+
+
+def _emit_inference(res, h, rule, sample, args, argv):
+    payload = res.to_dict()
+    payload["bandwidth"] = {"value": h, "rule": rule}
+    payload["n"] = sample.n
+    _emit(payload, args, argv, _args_config(args), [args.data])
+    return 0
 
 
 def cmd_density_infer(args, argv):
     sample = read_density_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel)
-    if args.h == "auto":
-        choice = _auto_density_bandwidth(args, sample, K, L)
-        h, provenance = choice.value, _PROVENANCE[choice.rule]
-    else:
-        h, provenance = float(args.h), "fixed"
+    h, rule = _infer_bandwidth(args, sample, K, L=L, kappa=args.kappa)
     b = math.inf if args.rho == 0 else h / args.rho
     res = density_infer(sample, args.x, h, b, K, L, args.kappa, args.alpha)
-    payload = res.to_dict()
-    payload["bandwidth"] = {"value": h, "rule": provenance}
-    payload["n"] = sample.n
-    _emit(payload, args, argv, _args_config(args), [args.data])
-    return 0
+    return _emit_inference(res, h, rule, sample, args, argv)
 
 
 def cmd_lpreg_infer(args, argv):
@@ -206,53 +183,20 @@ def cmd_lpreg_infer(args, argv):
     sample = read_regression_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel or args.kernel)
-    if args.h == "auto":
-        if args.bw == "dpi":
-            choice = dpi_bandwidth_lp(sample, args.x, args.p, args.boundary, K, args.alpha)
-        elif args.bw == "rot":
-            h_mse = mse_bandwidth_lp(sample, args.x, args.p, K, boundary=args.boundary).value
-            context = "lp-boundary" if args.boundary else "lp-interior"
-            choice = rot_bandwidth(h_mse, context, args.p, sample.n)
-        elif args.bw == "mse":
-            choice = mse_bandwidth_lp(sample, args.x, args.p, K, boundary=args.boundary)
-        else:
-            raise ValueError(f"unknown bandwidth rule {args.bw!r}")
-        h, provenance = choice.value, _PROVENANCE[choice.rule]
-    else:
-        h, provenance = float(args.h), "fixed"
-    b = math.inf if args.rho == 0 else h / args.rho
+    h, rule = _infer_bandwidth(args, sample, K, p=args.p, boundary=args.boundary)
     method = VarianceMethod(args.vce, args.nn_neighbors)
-    res = lp_infer(sample, args.x, args.p, args.q, h, b, K, L, args.alpha, method)
-    payload = res.to_dict()
-    payload["bandwidth"] = {"value": h, "rule": provenance}
-    payload["n"] = sample.n
-    _emit(payload, args, argv, _args_config(args), [args.data])
-    return 0
+    res = lp_infer(sample, args.x, args.p, args.q, h, h / args.rho, K, L, args.alpha, method)
+    return _emit_inference(res, h, rule, sample, args, argv)
 
 
 def cmd_bw(args, argv):
     if args.estimator == "density":
         sample = read_density_table(args.data)
-        K = kernel(args.kernel)
-        L = kernel(args.bias_kernel)
-        if args.method == "dpi":
-            choice = dpi_bandwidth_density(sample, args.x, K, L, args.kappa, args.alpha)
-        elif args.method == "rot":
-            h_mse = mse_bandwidth_density_normal_ref(sample, args.x, args.kappa, K).value
-            choice = rot_bandwidth(h_mse, "density", args.kappa, sample.n)
-        else:
-            choice = mse_bandwidth_density_normal_ref(sample, args.x, args.kappa, K)
+        options = {"L": kernel(args.bias_kernel), "kappa": args.kappa}
     else:
         sample = read_regression_table(args.data)
-        K = kernel(args.kernel)
-        if args.method == "dpi":
-            choice = dpi_bandwidth_lp(sample, args.x, args.p, args.boundary, K, args.alpha)
-        elif args.method == "rot":
-            h_mse = mse_bandwidth_lp(sample, args.x, args.p, K, boundary=args.boundary).value
-            context = "lp-boundary" if args.boundary else "lp-interior"
-            choice = rot_bandwidth(h_mse, context, args.p, sample.n)
-        else:
-            choice = mse_bandwidth_lp(sample, args.x, args.p, K, boundary=args.boundary)
+        options = {"p": args.p, "boundary": args.boundary}
+    choice = select(args.method, sample, args.x, kernel(args.kernel), alpha=args.alpha, **options)
     payload = {"value": choice.value, "rule": choice.rule, "diagnostics": choice.diagnostics}
     _emit(payload, args, argv, _args_config(args), [args.data])
     return 0
@@ -272,6 +216,11 @@ def _parse_grid(text):
     if count == 1:
         return (lo,)
     return tuple(np.geomspace(lo, hi, count))
+
+
+def _csv_cell(value) -> str:
+    """A float's repr; empty for a point where every replication failed."""
+    return "" if value is None else repr(float(value))
 
 
 def cmd_sim(args, argv):
@@ -306,29 +255,16 @@ def cmd_sim(args, argv):
     if args.sim_command == "sweep" and not args.h_grid:
         raise SchemaError("sim sweep requires --h-grid lo:hi:count")
 
-    curve_rows = None
+    rows = None
     if args.h_grid:
         grid = _parse_grid(args.h_grid)
-        curve_rows = bandwidth_grid_sweep(config, grid, workers=workers)
+        rows = bandwidth_grid_sweep(config, grid, workers=workers)
         report = None
     else:
         report = run_mc(config, workers=workers)
         if args.curves:
-            # degenerate single-rule "curve": one row per point and method
-            curve_rows = []
-            for i, x in enumerate(report.points):
-                hbar = report.bandwidth_stats[i]["mean"]
-                for m in ("US", "BC", "RBC"):
-                    curve_rows.append(
-                        {
-                            "h": hbar,
-                            "x": x,
-                            "method": m,
-                            "coverage": report.coverage[m][i],
-                            "mean_length": report.mean_length[m][i],
-                            "mean_bias": report.mean_bias[m][i],
-                        }
-                    )
+            # degenerate single-rule "curve" at each point's mean bandwidth
+            rows = curve_rows(report, [stats["mean"] for stats in report.bandwidth_stats])
 
     if report is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -337,7 +273,7 @@ def cmd_sim(args, argv):
     elif report is not None:
         print(_dump_json(report.to_dict()))
 
-    if curve_rows is not None:
+    if rows is not None:
         if not args.curves:
             raise SchemaError("--h-grid requires --curves for the output table")
         multi_x = len(points) > 1
@@ -345,15 +281,11 @@ def cmd_sim(args, argv):
             writer = csv.writer(handle)
             head = ["h", "method", "coverage", "mean_length", "mean_bias"]
             writer.writerow((["x"] + head) if multi_x else head)
-            for row in curve_rows:
-                base = [
-                    repr(float(row["h"])),
-                    row["method"],
-                    repr(float(row["coverage"])) if row["coverage"] is not None else "",
-                    repr(float(row["mean_length"])) if row["mean_length"] is not None else "",
-                    repr(float(row["mean_bias"])) if row["mean_bias"] is not None else "",
+            for row in rows:
+                base = [_csv_cell(row["h"]), row["method"]] + [
+                    _csv_cell(row[key]) for key in ("coverage", "mean_length", "mean_bias")
                 ]
-                writer.writerow(([repr(float(row["x"]))] + base) if multi_x else base)
+                writer.writerow(([_csv_cell(row["x"])] + base) if multi_x else base)
         outputs.append(args.curves)
 
     if outputs:

@@ -19,6 +19,7 @@ variance of the bias correction as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .kernels import KernelSpec, derivative_part, induced_kernel
 __all__ = [
     "DensitySample",
     "ConfidenceInterval",
+    "interval_triple",
     "DensityInference",
     "density_point_estimate",
     "density_derivative_estimate",
@@ -90,6 +92,37 @@ class ConfidenceInterval:
     def covers(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
+    def to_dict(self) -> dict:
+        return {
+            "flavor": self.flavor,
+            "center": self.center,
+            "half_width": self.half_width,
+            "lower": self.lower,
+            "upper": self.upper,
+            "level": self.level,
+        }
+
+
+def interval_triple(
+    point: float, bias: float, se_us: float, se_rbc: float, n: int, h: float, alpha: float
+) -> tuple:
+    """The (US, BC, RBC) intervals around a point estimate.
+
+    Half-widths are z * se / sqrt(nh) with z = Phi^(-1)(1 - alpha/2).  US
+    is centered at the point estimate; BC and RBC at the point estimate
+    minus the bias estimate, BC with the US width and RBC with se_rbc.
+    """
+    z = float(ndtri(1.0 - alpha / 2.0))
+    scale = math.sqrt(n * h)
+    level = 1.0 - alpha
+    center_bc = point - bias
+    hw_us = z * se_us / scale
+    return (
+        ConfidenceInterval(point, hw_us, level, "US"),
+        ConfidenceInterval(center_bc, hw_us, level, "BC"),
+        ConfidenceInterval(center_bc, z * se_rbc / scale, level, "RBC"),
+    )
+
 
 @dataclass(frozen=True)
 class DensityInference:
@@ -132,17 +165,7 @@ class DensityInference:
             "bias_hat": self.bias_hat,
             "se_us": self.se_us,
             "se_rbc": self.se_rbc,
-            "intervals": [
-                {
-                    "flavor": ci.flavor,
-                    "center": ci.center,
-                    "half_width": ci.half_width,
-                    "lower": ci.lower,
-                    "upper": ci.upper,
-                    "level": ci.level,
-                }
-                for ci in self.intervals
-            ],
+            "intervals": [ci.to_dict() for ci in self.intervals],
             "degenerate": self.degenerate,
             "negative_center": self.negative_center,
         }
@@ -250,18 +273,7 @@ def density_infer(
     var_rbc = density_variance_rbc(sample, x, h, b, K, L, kappa)
     se_us = float(np.sqrt(var_us))
     se_rbc = float(np.sqrt(var_rbc))
-
-    z = float(ndtri(1.0 - alpha / 2.0))
-    scale = np.sqrt(sample.n * h)
-    level = 1.0 - alpha
-    center_bc = f_hat - bias_hat
-    hw_us = z * se_us / scale
-    hw_rbc = z * se_rbc / scale
-    intervals = (
-        ConfidenceInterval(f_hat, hw_us, level, "US"),
-        ConfidenceInterval(center_bc, hw_us, level, "BC"),
-        ConfidenceInterval(center_bc, hw_rbc, level, "RBC"),
-    )
+    intervals = interval_triple(f_hat, bias_hat, se_us, se_rbc, sample.n, h, alpha)
     return DensityInference(
         x=x,
         h=h,
@@ -274,7 +286,7 @@ def density_infer(
         se_rbc=se_rbc,
         intervals=intervals,
         degenerate=(se_us == 0.0 or se_rbc == 0.0),
-        negative_center=(f_hat < 0.0 or center_bc < 0.0),
+        negative_center=(f_hat < 0.0 or intervals[1].center < 0.0),
     )
 
 

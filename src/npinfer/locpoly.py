@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtri
 
-from .density import ConfidenceInterval
+from .density import ConfidenceInterval, interval_triple
 from .errors import DegenerateSampleError, LeverageOneError, SingularDesignError
 from .kernels import KernelSpec
 
@@ -360,17 +359,7 @@ class LocPolyInference:
             "se_us": self.se_us,
             "se_rbc": self.se_rbc,
             "effective_n": self.fit_p.effective_n,
-            "intervals": [
-                {
-                    "flavor": ci.flavor,
-                    "center": ci.center,
-                    "half_width": ci.half_width,
-                    "lower": ci.lower,
-                    "upper": ci.upper,
-                    "level": ci.level,
-                }
-                for ci in self.intervals
-            ],
+            "intervals": [ci.to_dict() for ci in self.intervals],
             "boundary": self.boundary_flag,
             "degenerate": self.degenerate,
         }
@@ -419,19 +408,8 @@ def lp_infer(
         var_rbc = 0.0
     se_us = math.sqrt(var_us)
     se_rbc = math.sqrt(var_rbc)
-
-    z = float(ndtri(1.0 - alpha / 2.0))
-    scale = math.sqrt(sample.n * h)
-    level = 1.0 - alpha
     m_hat = fit_p.m_hat
-    center_bc = m_hat - bias_hat
-    hw_us = z * se_us / scale
-    hw_rbc = z * se_rbc / scale
-    intervals = (
-        ConfidenceInterval(m_hat, hw_us, level, "US"),
-        ConfidenceInterval(center_bc, hw_us, level, "BC"),
-        ConfidenceInterval(center_bc, hw_rbc, level, "RBC"),
-    )
+    intervals = interval_triple(m_hat, bias_hat, se_us, se_rbc, sample.n, h, alpha)
     span = K.support[1]
     boundary = (x - span * h < sample.x_values[0]) or (x + span * h > sample.x_values[-1])
     return LocPolyInference(

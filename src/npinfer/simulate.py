@@ -18,14 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import (
-    dpi_bandwidth_density,
-    dpi_bandwidth_lp,
-    mse_bandwidth_density_normal_ref,
-    mse_bandwidth_lp,
-    rot_bandwidth,
-    silverman_rot_density,
-)
+from .bandwidth import RULES, select
 from .density import DensitySample, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import kernel
@@ -43,6 +36,7 @@ __all__ = [
     "replication_rng",
     "run_mc",
     "bandwidth_grid_sweep",
+    "curve_rows",
 ]
 
 METHODS = ("US", "BC", "RBC")
@@ -186,15 +180,23 @@ def gen_regression_sample(
 # configuration and report
 # ----------------------------------------------------------------------
 
+def _config_checked(build, *args):
+    """Call build(*args) and raise its ValueError as a ConfigError."""
+    try:
+        build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo experiment.
 
-    ``bw_rule`` is one of "dpi", "rot", "mse", "silverman" (density only),
-    or "fixed" (requires ``fixed_h``).  ``boundary`` switches the local
-    polynomial selectors to the boundary rate.  ``workers`` is an
-    execution detail and is excluded from the report echo so that reports
-    are byte-identical across worker counts.  An invalid setting raises
+    ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed"
+    (requires ``fixed_h``).  ``boundary`` switches the local polynomial
+    selectors to the boundary rate.  ``workers`` is an execution detail
+    and is excluded from the report echo so that reports are
+    byte-identical across worker counts.  An invalid setting raises
     ``ConfigError`` here, before any replication runs.
     """
 
@@ -223,6 +225,16 @@ class McConfig:
         object.__setattr__(self, "evaluation_points", tuple(float(x) for x in self.evaluation_points))
         if self.estimator not in ("density", "lpreg"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        rules = RULES[self.estimator] + ("fixed",)
+        if self.bw_rule not in rules:
+            raise ConfigError(
+                f"unknown {self.estimator} bandwidth rule {self.bw_rule!r}; expected one of {rules}"
+            )
+        _config_checked(kernel, self.kernel_name)
+        if self.bias_kernel_name is not None:
+            _config_checked(kernel, self.bias_kernel_name)
+        if self.estimator == "lpreg":
+            _config_checked(VarianceMethod, self.vce, self.nn_neighbors)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.n < 2:
@@ -319,45 +331,6 @@ class McReport:
 # single replication
 # ----------------------------------------------------------------------
 
-def _density_bandwidth(config: McConfig, sample: DensitySample, x: float):
-    K = kernel(config.kernel_name)
-    L = kernel(config.bias_kernel_name or "mseopt-deriv2")
-    rule = config.bw_rule
-    if rule == "fixed":
-        return config.fixed_h
-    if rule == "dpi":
-        return dpi_bandwidth_density(sample, x, K, L, config.kappa, config.alpha).value
-    if rule == "rot":
-        h_mse = mse_bandwidth_density_normal_ref(sample, x, config.kappa, K).value
-        return rot_bandwidth(h_mse, "density", config.kappa, sample.n).value
-    if rule == "mse":
-        return mse_bandwidth_density_normal_ref(sample, x, config.kappa, K).value
-    if rule == "silverman":
-        bw = silverman_rot_density(sample, config.kappa)
-        if bw.diagnostics.get("invalid"):
-            raise ZeroCurvatureError("silverman bandwidth degenerate")
-        return bw.value
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
-
-
-def _lp_bandwidth(config: McConfig, sample: RegressionSample, x: float):
-    K = kernel(config.kernel_name)
-    rule = config.bw_rule
-    if rule == "fixed":
-        return config.fixed_h
-    if rule == "dpi":
-        return dpi_bandwidth_lp(
-            sample, x, config.p, config.boundary, K, config.alpha
-        ).value
-    if rule == "rot":
-        h_mse = mse_bandwidth_lp(sample, x, config.p, K, boundary=config.boundary).value
-        context = "lp-boundary" if config.boundary else "lp-interior"
-        return rot_bandwidth(h_mse, context, config.p, sample.n).value
-    if rule == "mse":
-        return mse_bandwidth_lp(sample, x, config.p, K, boundary=config.boundary).value
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
-
-
 def _one_replication(config: McConfig, rep: int) -> list:
     """Outcome records for one replication, one entry per evaluation point.
 
@@ -365,50 +338,38 @@ def _one_replication(config: McConfig, rep: int) -> list:
     status 0 = ok, 1 = singular design, 2 = bandwidth undefined.
     """
     rng = replication_rng(config.seed, rep)
-    out = []
+    K = kernel(config.kernel_name)
     if config.estimator == "density":
-        model = DENSITY_MODELS[config.model]
-        sample = gen_density_sample(model, config.n, rng)
-        K = kernel(config.kernel_name)
+        sample = gen_density_sample(DENSITY_MODELS[config.model], config.n, rng)
         L = kernel(config.bias_kernel_name or "mseopt-deriv2")
-        for x in config.evaluation_points:
-            try:
-                h = _density_bandwidth(config, sample, x)
-            except (ZeroCurvatureError, SingularDesignError):
-                out.append((2, math.nan, None))
-                continue
-            b = math.inf if config.rho == 0 else h / config.rho
-            try:
-                res = density_infer(sample, x, h, b, K, L, config.kappa, config.alpha)
-            except NpinferError:
-                out.append((1, h, None))
-                continue
-            out.append(
-                (0, h, tuple((ci.center, ci.half_width) for ci in res.intervals))
-            )
+
+        def infer(x, h, b):
+            return density_infer(sample, x, h, b, K, L, config.kappa, config.alpha)
     else:
-        model = REGRESSION_MODELS[config.model]
-        sample = gen_regression_sample(model, config.n, rng, config.x_law)
-        K = kernel(config.kernel_name)
+        sample = gen_regression_sample(REGRESSION_MODELS[config.model], config.n, rng, config.x_law)
         L = kernel(config.bias_kernel_name or config.kernel_name)
         method = VarianceMethod(config.vce, config.nn_neighbors)
-        for x in config.evaluation_points:
-            try:
-                h = _lp_bandwidth(config, sample, x)
-            except (ZeroCurvatureError, SingularDesignError):
-                out.append((2, math.nan, None))
-                continue
-            b = math.inf if config.rho == 0 else h / config.rho
-            try:
-                res = lp_infer(
-                    sample, x, config.p, config.q, h, b, K, L, config.alpha, method
-                )
-            except NpinferError:
-                out.append((1, h, None))
-                continue
-            out.append(
-                (0, h, tuple((ci.center, ci.half_width) for ci in res.intervals))
-            )
+
+        def infer(x, h, b):
+            return lp_infer(sample, x, config.p, config.q, h, b, K, L, config.alpha, method)
+
+    out = []
+    for x in config.evaluation_points:
+        try:
+            h = config.fixed_h if config.bw_rule == "fixed" else select(
+                config.bw_rule, sample, x, K, L=L, kappa=config.kappa, p=config.p,
+                boundary=config.boundary, alpha=config.alpha,
+            ).value
+        except (ZeroCurvatureError, SingularDesignError):
+            out.append((2, math.nan, None))
+            continue
+        b = math.inf if config.rho == 0 else h / config.rho
+        try:
+            res = infer(x, h, b)
+        except NpinferError:
+            out.append((1, h, None))
+            continue
+        out.append((0, h, tuple((ci.center, ci.half_width) for ci in res.intervals)))
     return out
 
 
@@ -547,18 +508,26 @@ def bandwidth_grid_sweep(config: McConfig, h_grid: Sequence[float], workers: int
         raise ValueError("h_grid must be strictly increasing and positive")
     rows = []
     for h in h_grid:
-        sub = replace(config, bw_rule="fixed", fixed_h=h)
-        report = run_mc(sub, workers=workers)
-        for i, x in enumerate(report.points):
-            for m in METHODS:
-                rows.append(
-                    {
-                        "h": h,
-                        "x": x,
-                        "method": m,
-                        "coverage": report.coverage[m][i],
-                        "mean_length": report.mean_length[m][i],
-                        "mean_bias": report.mean_bias[m][i],
-                    }
-                )
+        report = run_mc(replace(config, bw_rule="fixed", fixed_h=h), workers=workers)
+        rows += curve_rows(report, [h] * len(report.points))
     return rows
+
+
+def curve_rows(report: McReport, h_per_point: Sequence[float]) -> list:
+    """One plot-ready row per (evaluation point, method) of a report.
+
+    Each row carries the bandwidth ``h_per_point[i]`` of its point with
+    the coverage, mean interval length and mean bias (center minus truth).
+    """
+    return [
+        {
+            "h": h_per_point[i],
+            "x": x,
+            "method": m,
+            "coverage": report.coverage[m][i],
+            "mean_length": report.mean_length[m][i],
+            "mean_bias": report.mean_bias[m][i],
+        }
+        for i, x in enumerate(report.points)
+        for m in METHODS
+    ]

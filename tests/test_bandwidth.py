@@ -6,7 +6,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from npinfer import DensitySample, induced_kernel, kernel
+from npinfer import bandwidth
 from npinfer.bandwidth import (
+    RULES,
     BandwidthChoice,
     coverage_polys_at,
     coverage_polys_density,
@@ -21,6 +23,7 @@ from npinfer.bandwidth import (
     pairwise_ustat_mean,
     population_mse_bandwidth_density,
     rot_bandwidth,
+    select,
     silverman_rot_density,
     _edgeworth_q_hats,
 )
@@ -395,3 +398,77 @@ class TestLpDpi:
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
         q25, q75 = np.percentile(vals, [25, 75])
         assert 0 < q25 < q75 < 2.0  # strictly inside (0, range of X)
+
+
+def _density_sample():
+    return DensitySample(np.random.default_rng(21).standard_normal(300))
+
+
+def _regression_sample():
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-1, 1, 300)
+    return RegressionSample(x, np.sin(3 * x) + 0.5 * rng.standard_normal(300))
+
+
+class TestSelect:
+    def test_rule_table(self):
+        assert RULES == {
+            "density": ("dpi", "rot", "mse", "silverman"),
+            "lpreg": ("dpi", "rot", "mse"),
+        }
+
+    @pytest.mark.parametrize("kappa", [2, 4])
+    def test_density_rules_match_their_selectors(self, kappa):
+        s = _density_sample()
+        mse = mse_bandwidth_density_normal_ref(s, 0.4, kappa, EPA)
+        expected = {
+            "mse": mse,
+            "rot": rot_bandwidth(mse.value, "density", kappa, s.n),
+            "silverman": silverman_rot_density(s, kappa),
+        }
+        if kappa == 2:  # the mseopt-deriv2 bias kernel serves kappa = 2 only
+            expected["dpi"] = dpi_bandwidth_density(s, 0.4, EPA, MSE2, kappa, 0.1)
+        for rule in expected:
+            got = select(rule, s, 0.4, EPA, L=MSE2, kappa=kappa, alpha=0.1)
+            assert (got.value, got.rule) == (expected[rule].value, expected[rule].rule)
+            assert got.diagnostics == expected[rule].diagnostics
+
+    @pytest.mark.parametrize("p,boundary", [(1, False), (1, True), (3, False), (2, True)])
+    def test_lpreg_rules_match_their_selectors(self, p, boundary):
+        s = _regression_sample()
+        x = -0.95 if boundary else 0.4
+        mse = mse_bandwidth_lp(s, x, p, EPA, boundary=boundary)
+        context = "lp-boundary" if boundary else "lp-interior"
+        expected = {
+            "dpi": dpi_bandwidth_lp(s, x, p, boundary, EPA, 0.1),
+            "mse": mse,
+            "rot": rot_bandwidth(mse.value, context, p, s.n),
+        }
+        for rule in RULES["lpreg"]:
+            got = select(rule, s, x, EPA, p=p, boundary=boundary, alpha=0.1)
+            assert (got.value, got.rule) == (expected[rule].value, expected[rule].rule)
+
+    @pytest.mark.parametrize("rule", ["bogus", "fixed", "silverman"])
+    def test_unknown_rule_rejected(self, rule):
+        with pytest.raises(ValueError, match="bandwidth rule"):
+            select(rule, _regression_sample(), 0.0, EPA)
+
+    def test_degenerate_silverman_raises(self):
+        with pytest.raises(ZeroCurvatureError, match="silverman"):
+            select("silverman", DensitySample(np.ones(10)), 1.0, EPA)
+
+    def test_density_dpi_needs_bias_kernel(self):
+        with pytest.raises(ValueError, match="bias kernel"):
+            select("dpi", _density_sample(), 0.0, EPA)
+
+    def test_sample_type_required(self):
+        with pytest.raises(TypeError):
+            select("mse", np.zeros(10), 0.0, EPA)
+
+    def test_selectors_looked_up_at_call_time(self, monkeypatch):
+        # a selector patched on the module (as a tracer does) must be the one that runs
+        stub = BandwidthChoice(value=0.123, rule="dpi")
+        monkeypatch.setattr(bandwidth, "dpi_bandwidth_lp", lambda *a, **k: stub)
+        monkeypatch.setattr(bandwidth, "dpi_bandwidth_density", lambda *a, **k: stub)
+        assert select("dpi", _regression_sample(), 0.0, EPA) is stub
+        assert select("dpi", _density_sample(), 0.0, EPA, L=MSE2) is stub

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from npinfer import kernel
+from npinfer.bandwidth import RULES, select
 from npinfer.cli import main, read_density_table, read_regression_table
 from npinfer.errors import ParseError, SchemaError
 
@@ -178,6 +180,50 @@ class TestBwCommand:
         assert "diagnostics" in payload
 
 
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+class TestRuleParity:
+    """select, the bw command and the infer commands agree on every rule's h."""
+
+    @pytest.mark.parametrize(
+        "estimator,rule", [(e, r) for e, rules in RULES.items() for r in rules]
+    )
+    def test_same_bandwidth_on_every_path(
+        self, estimator, rule, density_csv, regression_csv, capsys
+    ):
+        if estimator == "density":
+            data = density_csv
+            sample = read_density_table(data)
+            options = {"L": kernel("mseopt-deriv2")}
+        else:
+            data = regression_csv
+            sample = read_regression_table(data)
+            options = {}
+        h = select(rule, sample, 0.3, kernel("epanechnikov"), **options).value
+
+        assert main([estimator, "infer", "--data", data, "--x", "0.3", "--bw", rule]) == 0
+        assert json.loads(capsys.readouterr().out)["bandwidth"] == {"value": h, "rule": rule}
+        if rule == "silverman":  # not one of the bw command's --method choices
+            return
+        argv = ["bw", "--data", data, "--x", "0.3", "--estimator", estimator, "--method", rule]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == h
+
+    def test_degenerate_silverman_is_zero_curvature(self, tmp_path, capsys):
+        path = tmp_path / "constant.csv"
+        path.write_text("x\n1.0\n1.0\n1.0\n1.0\n")
+        code = main(["density", "infer", "--data", str(path), "--x", "1", "--bw", "silverman"])
+        assert code == 1
+        assert _last_error(capsys)["error"] == "ZeroCurvatureError"
+
+    def test_sim_rule_checked_before_any_replication(self, capsys):
+        code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
+        assert code == 1
+        assert _last_error(capsys)["error"] == "ConfigError"
+
+
 class TestSimCommand:
     def test_sim_lpreg_report_and_rerun_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -206,6 +252,17 @@ class TestSimCommand:
         lines = curves.read_text().strip().splitlines()
         assert lines[0] == "h,method,coverage,mean_length,mean_bias"
         assert len(lines) == 1 + 2 * 3
+
+    def test_curves_with_no_used_replication(self, tmp_path):
+        # every pilot fails far outside the data, so the point has no mean h
+        curves = tmp_path / "c.csv"
+        code = main(
+            ["sim", "lpreg", "--model", "5", "--n", "60", "--reps", "2", "--points", "25",
+             "--bw", "mse", "--workers", "1", "--out", str(tmp_path / "r.json"),
+             "--curves", str(curves)]
+        )
+        assert code == 0
+        assert curves.read_text().splitlines()[1:] == [",US,,,", ",BC,,,", ",RBC,,,"]
 
     def test_sweep_requires_grid(self, capsys):
         code = main(

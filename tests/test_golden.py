@@ -1,0 +1,148 @@
+"""Golden SHA-256 digests of Monte Carlo reports and CLI JSON output.
+
+Each digest pins the exact bytes of one output: the sorted-key JSON of
+``McReport.to_dict()`` for a small fixed-seed study (n=200, 4
+replications, 2 points), or the stdout JSON of one ``density infer``,
+``lpreg infer`` or ``bw`` call.  One bit of drift in any reported figure
+changes the digest, so a refactor that claims "same results" is held to
+it exactly.
+
+The digests are this platform's float results (x86-64 Linux, Python 3.11,
+numpy 2.4, scipy 1.17), recorded from the code as it stood before the
+bandwidth rules were routed through ``bandwidth.select``.  Another BLAS or
+libm may round differently; a deliberate change of results re-records
+them and explains the drift in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from npinfer.cli import main
+from npinfer.simulate import McConfig, run_mc
+
+MC_DIGESTS = {
+    "density-dpi": "085f6060db6abd3778f8f90ce285db2132e9348556facb3d6261007e2185666e",
+    "density-rot": "59c91187191f8fff218e7e98083bd3eb557b271363d9d1087e0f6cb5ef84ae52",
+    "density-mse": "b74ae7eb6dd33991d3840a751a5e406d7cb1d099e2da44a324ee965a68431a89",
+    "density-silverman": "a075ea67c7d9979ff0ea200f31b0ce63a2378408bb61bdca2c2c7ad22a4ede5c",
+    "density-fixed": "4dc43f0bf640e333641c1e893e1808e8744e4b3be6c3c9a13ac84ab3e3d61f7c",
+    "lpreg-dpi": "1c5681dbfebd366bc5c115814868382c2e7a490ea0bcaf78d7e4ea03424165ed",
+    "lpreg-rot": "6d95390ae40de5fbb969de57c2f84e33185431812ab3c90659d000692c399f00",
+    "lpreg-mse": "4dcb7fe081629896c45b56e36be1444400b79459e2cd7d46efa2df2dc5de319d",
+    "lpreg-fixed": "dfd733302dd17e68e683abb5b568136db6bda3f0bac77ae3ce8894428860338b",
+    "lpreg-boundary-dpi": "c18a72f4e35cdb2a70c8b33d3e3d64c61fffd86f119b6d461d6d82e5e36d4907",
+    "lpreg-boundary-rot": "bbc8e3951af7697f4ccdd60931540677a0d5b3bd1011ae51e48167a1ee8f6cdd",
+}
+
+CLI_DIGESTS = {
+    "density-infer-dpi": "a39fabc445c028fa33730660f6c4428e5fedc423fa18293f664317e8b17c8154",
+    "density-infer-rot": "72e735bcb09705c33732d7d2006d2c58fcd976bacab4c9e0dc177711e6146df2",
+    "density-infer-mse": "8c07c1352b168cfc676e85ce788141884e1edcd6e2947a255c0dee122ee95dd2",
+    "density-infer-silverman": "72cdc3ca663538d666798ab1e8c2842e66695f38825da3ac0463372b170abe07",
+    "density-infer-fixed": "5ba5734a3a8810d84f0124c7fa7a5819af773f29a51e9c9f768723f7259b2ec3",
+    "lpreg-infer-dpi": "c9ccfcbdb6a1e5270427972aa1a78a9c9ccef2640809bb0cca633c3b37c4d598",
+    "lpreg-infer-rot": "c3db1200c2692436950b3cdb24b6911ccaf8b9b6e5002a117d862f771f0f2caf",
+    "lpreg-infer-mse": "27b6fd58ba7440579ddb96122657fe561fbc81c9374133a109ddaa2d938f6402",
+    "lpreg-infer-fixed": "75192c5c36ff981579dcf63b2fff5a2ed5e2371577aa412abfa98d06e11e565d",
+    "lpreg-infer-boundary-dpi": "20f630889749b47b74e6432d08eb5ae17e47ea8f0ed5fe394ecade162836906b",
+    "bw-density-dpi": "c9e6fe70f977c9838c90b6e0559206a87fd6a9a01fadf60b898cbb74ec6eb991",
+    "bw-density-rot": "65084c9619b8775a13f9bd7507f9d4d94be19e207c88676201a3d6aced616f6b",
+    "bw-density-mse": "be92f415d7428ce34241e2b5fc9d76592c7ce04fb402c9407e628e0a67ee6198",
+    "bw-lpreg-dpi": "a22b41aafdd37efa90922163387043612a59e46930a47f182b984778ab4ecc38",
+    "bw-lpreg-rot": "b0825dd0718fc5e01c94aec74671e79707993f93ef34140a34e625ecaabb0a27",
+    "bw-lpreg-mse": "587d725d07f698d7edfa2bb9ebc55aef70173cc0b96a059f68eebbb9d7d6bc82",
+}
+
+# the --curves CSV of a single-rule study and of a fixed-bandwidth sweep
+CURVES_DIGESTS = {
+    "sim": "afa25e40408633f15303ba48fa0ca563243937c7e4dc51d88a73f58912f3aa63",
+    "sweep": "2c91556c621ad11ac8d78142d061107e9e4777da4d0b769ddf98e4a05194918b",
+}
+
+
+def mc_config(name) -> McConfig:
+    estimator, _, rule = name.partition("-")
+    settings = dict(estimator=estimator, n=200, replications=4, seed=11)
+    if estimator == "density":
+        settings.update(model=1, evaluation_points=(0.0, 1.5))
+    else:
+        settings.update(model=5, evaluation_points=(-1 / 3, 0.0))
+    if rule.startswith("boundary-"):
+        settings.update(evaluation_points=(-1.0, 1.0), boundary=True, bw_rule=rule[9:])
+    elif rule == "fixed":
+        settings.update(bw_rule="fixed", fixed_h=0.5)
+    else:
+        settings.update(bw_rule=rule)
+    return McConfig(**settings)
+
+
+def cli_argv(name, density_csv, regression_csv) -> list:
+    if name.startswith("bw-"):
+        _, estimator, rule = name.split("-")
+        data, x = (density_csv, "0.5") if estimator == "density" else (regression_csv, "0.2")
+        return ["bw", "--data", data, "--x", x, "--estimator", estimator, "--method", rule]
+    estimator, _, rule = name.split("-", 2)
+    data, x = (density_csv, "0.5") if estimator == "density" else (regression_csv, "0.2")
+    argv = [estimator, "infer", "--data", data, "--x", x]
+    if rule == "fixed":
+        return argv + ["--h", "0.5"]
+    if rule == "boundary-dpi":
+        return [estimator, "infer", "--data", data, "--x", "-0.98", "--bw", "dpi", "--boundary"]
+    return argv + ["--bw", rule]
+
+
+def curves_argv(name, path) -> list:
+    argv = ["sim", name, "--model", "5", "--n", "200", "--reps", "4", "--points=-0.3,0",
+            "--seed", "11", "--workers", "1", "--curves", path]
+    if name == "sweep":
+        return argv + ["--estimator", "lpreg", "--h-grid", "0.3:0.5:2"]
+    return argv[:1] + ["lpreg"] + argv[2:] + ["--out", path + ".json"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def mc_digest(name) -> str:
+    report = run_mc(mc_config(name), workers=1)
+    return sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+
+
+def write_csv_inputs(directory):
+    """The two fixed CSV inputs of the CLI cases; returns their paths."""
+    rng = np.random.default_rng(2024)
+    density = directory / "density.csv"
+    density.write_text("x\n" + "".join(f"{v!r}\n" for v in rng.standard_normal(200).tolist()))
+    x = rng.uniform(-1, 1, 200)
+    y = np.sin(3 * x) + 0.5 * rng.standard_normal(200)
+    regression = directory / "regression.csv"
+    regression.write_text(
+        "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+    )
+    return str(density), str(regression)
+
+
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    return write_csv_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(MC_DIGESTS))
+def test_mc_report_bytes(name):
+    assert mc_digest(name) == MC_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_json_bytes(name, csv_inputs, capsys):
+    assert main(cli_argv(name, *csv_inputs)) == 0
+    assert sha256(capsys.readouterr().out.encode()) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVES_DIGESTS))
+def test_curves_csv_bytes(name, tmp_path):
+    path = tmp_path / "curves.csv"
+    assert main(curves_argv(name, str(path))) == 0
+    assert sha256(path.read_bytes()) == CURVES_DIGESTS[name]

@@ -292,6 +292,28 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="fixed_h"):
             _lpreg_config(bw_rule="fixed", fixed_h=fixed_h)
 
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"vce": "hc9"}, "variance method"),
+            ({"kernel_name": "nope"}, "unknown kernel"),
+            ({"bias_kernel_name": "nope"}, "unknown kernel"),
+            ({"bw_rule": "bogus"}, "bandwidth rule"),
+            ({"bw_rule": "silverman"}, "bandwidth rule"),
+            ({"vce": "nn", "nn_neighbors": 0}, "nn_neighbors"),
+        ],
+    )
+    def test_unknown_names_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            _lpreg_config(**overrides)
+
+    def test_density_accepts_silverman(self):
+        cfg = McConfig(
+            estimator="density", model=1, n=100, replications=5,
+            evaluation_points=(0.0,), bw_rule="silverman",
+        )
+        assert cfg.bw_rule == "silverman"
+
     def test_density_ignores_regression_degrees(self):
         cfg = McConfig(
             estimator="density", model=1, n=100, replications=5,
