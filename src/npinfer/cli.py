@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bandwidth import select
-from .density import DensitySample, density_infer
+from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
 from .errors import NpinferError, ParseError, SchemaError
 from .kernels import kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     d_inf.add_argument("--bw", default="dpi", choices=["dpi", "rot", "mse", "silverman"])
     d_inf.add_argument("--rho", type=float, default=1.0)
     d_inf.add_argument("--kappa", type=int, default=2)
-    d_inf.add_argument("--bias-kernel", default="mseopt-deriv2", choices=kernel_names())
+    d_inf.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
     d_inf.set_defaults(func=cmd_density_infer)
 
     lp = sub.add_parser("lpreg", help="local polynomial regression")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     bw.add_argument("--estimator", default="density", choices=["density", "lpreg"])
     bw.add_argument("--p", type=int, default=1)
     bw.add_argument("--kappa", type=int, default=2)
-    bw.add_argument("--bias-kernel", default="mseopt-deriv2", choices=kernel_names())
+    bw.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
     bw.add_argument("--boundary", action="store_true")
     bw.set_defaults(func=cmd_bw)
 

@@ -43,6 +43,9 @@ __all__ = [
     "gj_equivalent_kernel",
 ]
 
+# the bias kernel L of density inference when the caller names none
+DEFAULT_BIAS_KERNEL = "mseopt-deriv2"
+
 
 @dataclass(frozen=True)
 class DensitySample:

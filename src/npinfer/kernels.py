@@ -15,6 +15,26 @@ A kernel with ``derivative_target = d > 0`` stores the function that plays
 the role of the d-th derivative of a smoothing kernel (it estimates the
 d-th derivative of a density directly); ``derivative_target = 0`` marks an
 ordinary level kernel.
+
+Caching.  These constants depend on the kernels alone, never on the
+data, so each is computed once:
+
+- per process: ``kernel()`` returns one shared spec per built-in name
+  (aliases included), and ``minvar_derivative_kernel`` and
+  ``induced_kernel`` keep the specs they built in an LRU cache of
+  ``_CACHE_SIZE`` entries;
+- per spec: the exact integrals behind ``moment_mu_exact``,
+  ``moment_mu``, ``moment_theta`` and ``power_weighted_integral``, and
+  each ``derivative(order)``, are kept on the instance that computed them.
+
+The cached value is the exact result, rounded to float the same way on
+every call, so results are bit-for-bit those of a fresh computation.
+``induced_kernel``'s cache must stay bounded: its key holds rho = h/b,
+a ratio of two bandwidths.  The MC engine and the CLI set b = h/rho, so
+the quotient lands within an ulp of rho (0.3 or 0.29999999999999993 for
+rho = 0.3) and a study adds a few entries; but a caller that picks b
+apart from h adds one per call.  Failed calls raise every time; errors
+are not cached.
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +63,9 @@ __all__ = [
     "derivative_part",
     "minvar_derivative_kernel",
 ]
+
+# entries in each process-wide LRU cache of derived kernels
+_CACHE_SIZE = 64
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +208,18 @@ class KernelSpec:
             mat[i, : len(coeffs)] = [float(c) for c in coeffs]
         return mat
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Exact integrals and derivatives of this kernel, keyed by
+        ``("int", m, power, trunc)`` and ``("d", order)``."""
+        return {}
+
+    def _memoized(self, key, compute):
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, u: float) -> float:
@@ -217,15 +252,14 @@ class KernelSpec:
             raise ValueError("order must be nonnegative")
         if order == 0:
             return self
-        new = tuple(
-            (lo, hi, _nth_derivative(coeffs, order)) for lo, hi, coeffs in self.pieces
-        )
-        return KernelSpec(
+        return self._memoized(("d", order), lambda: KernelSpec(
             name=f"{self.name}-d{order}",
-            pieces=new,
+            pieces=tuple(
+                (lo, hi, _nth_derivative(coeffs, order)) for lo, hi, coeffs in self.pieces
+            ),
             kappa=self.kappa,
             derivative_target=self.derivative_target + order,
-        )
+        ))
 
     def _clip_pieces(self, trunc: TruncatedSupport | None):
         if trunc is None or trunc.is_full:
@@ -238,15 +272,25 @@ class KernelSpec:
             if a < b:
                 yield (a, b, coeffs)
 
+    def _integral(self, m: int, power: int, trunc: TruncatedSupport | None) -> Fraction:
+        """Exact integral of u^m K(u)^power over the (truncated) support."""
+        if trunc is not None and trunc.is_full:
+            trunc = None
+
+        def compute():
+            um = tuple([Fraction(0)] * m + [Fraction(1)])
+            total = Fraction(0)
+            for lo, hi, coeffs in self._clip_pieces(trunc):
+                total += _poly_defint(_poly_mul(um, _poly_pow(coeffs, power)), lo, hi)
+            return total
+
+        return self._memoized(("int", m, power, trunc), compute)
+
     def moment_mu_exact(self, k: int, trunc: TruncatedSupport | None = None) -> Fraction:
         """Exact rational mu_k moment (see :meth:`moment_mu`)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        uk = tuple([Fraction(0)] * k + [Fraction(1)])
-        total = Fraction(0)
-        for lo, hi, coeffs in self._clip_pieces(trunc):
-            total += _poly_defint(_poly_mul(uk, coeffs), lo, hi)
-        return total * Fraction((-1) ** k, math.factorial(k))
+        return self._integral(k, 1, trunc) * Fraction((-1) ** k, math.factorial(k))
 
     def moment_mu(self, k: int, trunc: TruncatedSupport | None = None) -> float:
         """mu_k = ((-1)^k / k!) * integral of u^k K(u) over the (truncated) support."""
@@ -256,10 +300,7 @@ class KernelSpec:
         """theta_k = integral of K(u)^k over the (truncated) support."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        total = Fraction(0)
-        for lo, hi, coeffs in self._clip_pieces(trunc):
-            total += _poly_defint(_poly_pow(coeffs, k), lo, hi)
-        return float(total)
+        return float(self._integral(0, k, trunc))
 
     def raw_moment(self, k: int, trunc: TruncatedSupport | None = None) -> float:
         """Plain integral of u^k K(u) du (no sign or factorial normalization)."""
@@ -271,11 +312,7 @@ class KernelSpec:
         """Exact integral of u^m K(u)^power over the (truncated) support."""
         if m < 0 or power < 1:
             raise ValueError("m must be >= 0 and power >= 1")
-        um = tuple([Fraction(0)] * m + [Fraction(1)])
-        total = Fraction(0)
-        for lo, hi, coeffs in self._clip_pieces(trunc):
-            total += _poly_defint(_poly_mul(um, _poly_pow(coeffs, power)), lo, hi)
-        return float(total)
+        return float(self._integral(m, power, trunc))
 
 
 def _nth_derivative(coeffs: Sequence[Fraction], order: int) -> tuple:
@@ -302,27 +339,27 @@ def _triangular() -> KernelSpec:
 
 _BUILTINS = {
     # level kernels, order 2
-    "uniform": lambda: _single("uniform", [Fraction(1, 2)], 2),
-    "triangular": _triangular,
-    "epanechnikov": lambda: _single(
+    "uniform": _single("uniform", [Fraction(1, 2)], 2),
+    "triangular": _triangular(),
+    "epanechnikov": _single(
         "epanechnikov", [Fraction(3, 4), 0, Fraction(-3, 4)], 2
     ),
     # fourth-order level kernels: minimum variance (3/8)(3 - 5u^2) and
     # MSE-optimal (15/32)(3 - 10u^2 + 7u^4)
-    "minvar-order4": lambda: _single(
+    "minvar-order4": _single(
         "minvar-order4", [Fraction(9, 8), 0, Fraction(-15, 8)], 4
     ),
-    "mseopt-order4": lambda: _single(
+    "mseopt-order4": _single(
         "mseopt-order4",
         [Fraction(45, 32), 0, Fraction(-150, 32), 0, Fraction(105, 32)],
         4,
     ),
     # second-derivative kernels: the minimum-variance shape (15/4)(3u^2 - 1)
     # and the MSE-optimal shape (105/16)(6u^2 - 5u^4 - 1)
-    "minvar-deriv2": lambda: _single(
+    "minvar-deriv2": _single(
         "minvar-deriv2", [Fraction(-15, 4), 0, Fraction(45, 4)], 2, 2
     ),
-    "mseopt-deriv2": lambda: _single(
+    "mseopt-deriv2": _single(
         "mseopt-deriv2",
         [Fraction(-105, 16), 0, Fraction(630, 16), 0, Fraction(-525, 16)],
         2,
@@ -342,11 +379,14 @@ def kernel_names() -> tuple:
 
 
 def kernel(name: str) -> KernelSpec:
-    """Look up a built-in kernel by its lowercase name."""
+    """Look up a built-in kernel by its lowercase name or alias.
+
+    Every spelling of one kernel returns the same shared instance.
+    """
     key = name.strip().lower().replace("_", "-")
     key = _ALIASES.get(key, key)
     try:
-        return _BUILTINS[key]()
+        return _BUILTINS[key]
     except KeyError:
         raise ValueError(
             f"unknown kernel {name!r}; available: {', '.join(kernel_names())}"
@@ -443,6 +483,7 @@ def derivative_part(L: KernelSpec, kappa: int) -> KernelSpec:
     )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def induced_kernel(K: KernelSpec, L: KernelSpec, kappa: int, rho: float) -> KernelSpec:
     """Equivalent kernel of the bias-corrected estimator.
 
@@ -507,6 +548,7 @@ def induced_kernel_M(K: KernelSpec, L: KernelSpec, kappa: int, rho: float, u) ->
 # derivative kernels of general order
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def minvar_derivative_kernel(nu: int) -> KernelSpec:
     """Minimum-variance kernel of order (nu, 2) for estimating f^(nu), nu even.
 

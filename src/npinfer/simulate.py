@@ -19,9 +19,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bandwidth import RULES, select
-from .density import DensitySample, density_infer
+from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
-from .kernels import kernel
+from .kernels import derivative_part, kernel
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
 
 __all__ = [
@@ -235,6 +235,11 @@ class McConfig:
             _config_checked(kernel, self.bias_kernel_name)
         if self.estimator == "lpreg":
             _config_checked(VarianceMethod, self.vce, self.nn_neighbors)
+        if self.estimator == "density" and (self.rho > 0 or self.bw_rule == "dpi"):
+            # the bias kernel's kappa-th derivative enters the bias estimate
+            # and the induced kernel; rho = 0 without DPI never forms it
+            bias_kernel = kernel(self.bias_kernel_name or DEFAULT_BIAS_KERNEL)
+            _config_checked(derivative_part, bias_kernel, self.kappa)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.n < 2:
@@ -341,7 +346,7 @@ def _one_replication(config: McConfig, rep: int) -> list:
     K = kernel(config.kernel_name)
     if config.estimator == "density":
         sample = gen_density_sample(DENSITY_MODELS[config.model], config.n, rng)
-        L = kernel(config.bias_kernel_name or "mseopt-deriv2")
+        L = kernel(config.bias_kernel_name or DEFAULT_BIAS_KERNEL)
 
         def infer(x, h, b):
             return density_infer(sample, x, h, b, K, L, config.kappa, config.alpha)

@@ -74,8 +74,6 @@ def _q1_scale(s, mags):
 
 @settings(
     max_examples=120,
-    deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(pilot_cases())

@@ -9,9 +9,14 @@ it exactly.
 
 The digests are this platform's float results (x86-64 Linux, Python 3.11,
 numpy 2.4, scipy 1.17), recorded from the code as it stood before the
-bandwidth rules were routed through ``bandwidth.select``.  Another BLAS or
-libm may round differently; a deliberate change of results re-records
-them and explains the drift in CHANGES.md.
+bandwidth rules were routed through ``bandwidth.select``; the two cases
+at rho = 0.3 (``-rho0.3``) were recorded before the kernel algebra was
+cached.  At rho = 1 every call asks for the same induced kernel, while
+b = h/0.3 gives h/b = 0.3 or 0.29999999999999993; each rho = 0.3 case
+is set up to meet the second value, so its results come from two cached
+induced kernels.  Another
+BLAS or libm may round differently; a deliberate change of results
+re-records them and explains the drift in CHANGES.md.
 """
 
 import hashlib
@@ -29,6 +34,7 @@ MC_DIGESTS = {
     "density-mse": "b74ae7eb6dd33991d3840a751a5e406d7cb1d099e2da44a324ee965a68431a89",
     "density-silverman": "a075ea67c7d9979ff0ea200f31b0ce63a2378408bb61bdca2c2c7ad22a4ede5c",
     "density-fixed": "4dc43f0bf640e333641c1e893e1808e8744e4b3be6c3c9a13ac84ab3e3d61f7c",
+    "density-dpi-rho0.3": "8b48f34a08bf4c652560ae5d0a649c2fbdc3b276b2c9503bfe798372e256fa38",
     "lpreg-dpi": "1c5681dbfebd366bc5c115814868382c2e7a490ea0bcaf78d7e4ea03424165ed",
     "lpreg-rot": "6d95390ae40de5fbb969de57c2f84e33185431812ab3c90659d000692c399f00",
     "lpreg-mse": "4dcb7fe081629896c45b56e36be1444400b79459e2cd7d46efa2df2dc5de319d",
@@ -43,6 +49,7 @@ CLI_DIGESTS = {
     "density-infer-mse": "8c07c1352b168cfc676e85ce788141884e1edcd6e2947a255c0dee122ee95dd2",
     "density-infer-silverman": "72cdc3ca663538d666798ab1e8c2842e66695f38825da3ac0463372b170abe07",
     "density-infer-fixed": "5ba5734a3a8810d84f0124c7fa7a5819af773f29a51e9c9f768723f7259b2ec3",
+    "density-infer-dpi-rho0.3": "5d845e02d80df78df902fa53c57a7b88eb360ccfa05c95e805312608eb94632b",
     "lpreg-infer-dpi": "c9ccfcbdb6a1e5270427972aa1a78a9c9ccef2640809bb0cca633c3b37c4d598",
     "lpreg-infer-rot": "c3db1200c2692436950b3cdb24b6911ccaf8b9b6e5002a117d862f771f0f2caf",
     "lpreg-infer-mse": "27b6fd58ba7440579ddb96122657fe561fbc81c9374133a109ddaa2d938f6402",
@@ -65,7 +72,11 @@ CURVES_DIGESTS = {
 
 def mc_config(name) -> McConfig:
     estimator, _, rule = name.partition("-")
+    rule, _, rho = rule.partition("-rho")
     settings = dict(estimator=estimator, n=200, replications=4, seed=11)
+    if rho:
+        # replication 7 draws an h at x = 1.5 with h / (h / 0.3) = 0.29999999999999993
+        settings.update(rho=float(rho), replications=8)
     if estimator == "density":
         settings.update(model=1, evaluation_points=(0.0, 1.5))
     else:
@@ -85,7 +96,11 @@ def cli_argv(name, density_csv, regression_csv) -> list:
         data, x = (density_csv, "0.5") if estimator == "density" else (regression_csv, "0.2")
         return ["bw", "--data", data, "--x", x, "--estimator", estimator, "--method", rule]
     estimator, _, rule = name.split("-", 2)
+    rule, _, rho = rule.partition("-rho")
     data, x = (density_csv, "0.5") if estimator == "density" else (regression_csv, "0.2")
+    if rho:
+        # the DPI h at x = 1.55 gives h / (h / 0.3) = 0.29999999999999993
+        return [estimator, "infer", "--data", data, "--x", "1.55", "--bw", rule, "--rho", rho]
     argv = [estimator, "infer", "--data", data, "--x", x]
     if rule == "fixed":
         return argv + ["--h", "0.5"]

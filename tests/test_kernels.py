@@ -1,14 +1,21 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npinfer import (
     FULL_SUPPORT,
+    DensitySample,
+    KernelSpec,
+    McConfig,
     TruncatedSupport,
     custom_kernel,
+    density_infer,
     eval_kernel,
     induced_kernel,
     induced_kernel_M,
@@ -18,6 +25,7 @@ from npinfer import (
     kernel_moment_theta,
     kernel_names,
     minvar_derivative_kernel,
+    run_mc,
 )
 
 LEVEL_KERNELS = ["uniform", "triangular", "epanechnikov", "minvar-order4", "mseopt-order4"]
@@ -270,3 +278,124 @@ def test_kernel_names_and_aliases():
     assert kernel("minvar_deriv2").name == "minvar-deriv2"
     with pytest.raises(ValueError):
         kernel("gaussian")
+
+
+# ----------------------------------------------------------------------
+# cached kernel algebra against a fresh, uncached computation
+# ----------------------------------------------------------------------
+
+@st.composite
+def shared_specs(draw):
+    """A spec as the library hands it out: from ``kernel()``,
+    ``minvar_derivative_kernel`` or ``induced_kernel``, all cached."""
+    source = draw(st.sampled_from(["builtin", "minvar", "induced"]))
+    if source == "builtin":
+        return kernel(draw(st.sampled_from(ALL_KERNELS)))
+    if source == "minvar":
+        return minvar_derivative_kernel(draw(st.sampled_from([2, 4, 6])))
+    K = kernel(draw(st.sampled_from(LEVEL_KERNELS)))
+    L = kernel(draw(st.sampled_from(ALL_KERNELS)))
+    return induced_kernel(K, L, 2, draw(st.floats(0.05, 3.0)))
+
+
+truncations = st.one_of(
+    st.none(),
+    st.just(FULL_SUPPORT),
+    st.tuples(st.floats(-1.0, 0.0), st.floats(0.0, 1.0))
+    .filter(lambda t: t[0] < t[1])
+    .map(lambda t: TruncatedSupport(*t)),
+)
+
+# every cached KernelSpec result, called as (spec, k, power, trunc)
+CACHED_OPS = {
+    "moment_mu_exact": lambda spec, k, power, trunc: spec.moment_mu_exact(k, trunc),
+    "moment_mu": lambda spec, k, power, trunc: spec.moment_mu(k, trunc),
+    "moment_theta": lambda spec, k, power, trunc: spec.moment_theta(k + 1, trunc),
+    "power_weighted_integral": lambda spec, k, power, trunc: spec.power_weighted_integral(
+        k, power, trunc
+    ),
+    "raw_moment": lambda spec, k, power, trunc: spec.raw_moment(k, trunc),
+    "derivative": lambda spec, k, power, trunc: spec.derivative(k),
+}
+
+
+def assert_identical(got, expected):
+    """Exact for Fractions and specs, bitwise for floats."""
+    assert type(got) is type(expected)
+    if isinstance(expected, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+@given(
+    spec=shared_specs(),
+    op=st.sampled_from(sorted(CACHED_OPS)),
+    k=st.integers(0, 6),
+    power=st.integers(1, 4),
+    trunc=truncations,
+)
+def test_cached_results_match_fresh_spec(spec, op, k, power, trunc):
+    # a spec rebuilt from the same fields starts with an empty memo
+    fresh = KernelSpec(spec.name, spec.pieces, spec.kappa, spec.derivative_target)
+    call = CACHED_OPS[op]
+    expected = call(fresh, k, power, trunc)
+    for _ in range(2):
+        assert_identical(call(spec, k, power, trunc), expected)
+
+
+class TestCaching:
+    def test_aliases_share_one_instance(self):
+        assert kernel("epa") is kernel("Epanechnikov")
+        assert kernel("minvar_deriv2") is kernel("minvar-deriv2")
+
+    def test_derived_kernels_are_shared(self):
+        epa, J = kernel("epanechnikov"), kernel("mseopt-deriv2")
+        assert minvar_derivative_kernel(4) is minvar_derivative_kernel(4)
+        assert induced_kernel(epa, J, 2, 0.3) is induced_kernel(epa, J, 2, 0.3)
+        assert epa.derivative(2) is epa.derivative(2)
+
+    def test_neighbouring_rho_keys_stay_apart(self):
+        # h / (h / 0.3) can be 0.29999999999999993, whose exact kernel differs
+        K, L = kernel("epanechnikov"), kernel("mseopt-deriv2")
+        near = induced_kernel(K, L, 2, 0.29999999999999993)
+        assert near.pieces != induced_kernel(K, L, 2, 0.3).pieces
+
+    def test_shared_spec_stays_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            kernel("epa").kappa = 4
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kernel("gaussian"),
+            lambda: minvar_derivative_kernel(3),
+            lambda: induced_kernel(kernel("epa"), kernel("minvar-deriv2"), 2, -0.5),
+            lambda: induced_kernel(kernel("epa"), kernel("minvar-deriv2"), 4, 1.0),
+            lambda: kernel("epa").moment_theta(0),
+        ],
+    )
+    def test_errors_are_not_cached(self, call):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_induced_cache_stays_bounded(self):
+        # b = h / 0.3 makes h / b one of 0.3 and 0.29999999999999993, and
+        # DPI adds rho = 1: a study at rho = 0.3 asks for a few keys only
+        induced_kernel.cache_clear()
+        config = McConfig(
+            estimator="density", model=1, n=100, replications=100, seed=3,
+            evaluation_points=(-0.5, 0.0, 0.5, 1.0), bw_rule="dpi", rho=0.3,
+        )
+        run_mc(config, workers=1)
+        assert induced_kernel.cache_info().currsize <= 3
+        # a bias bandwidth chosen apart from h gives a new rho on every call
+        sample = DensitySample(np.random.default_rng(5).standard_normal(200))
+        K, L = kernel("epanechnikov"), kernel("mseopt-deriv2")
+        maxsize = induced_kernel.cache_info().maxsize
+        for b in np.linspace(0.5, 2.0, 2 * maxsize):
+            density_infer(sample, 0.0, 0.4, b, K, L)
+        info = induced_kernel.cache_info()
+        assert info.misses > 2 * maxsize
+        assert info.currsize == maxsize

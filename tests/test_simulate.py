@@ -307,6 +307,22 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=match):
             _lpreg_config(**overrides)
 
+    def test_bias_kernel_order_mismatch(self):
+        # the default bias kernel estimates f'' only
+        with pytest.raises(ConfigError, match="order-4 derivative kernel"):
+            McConfig(
+                estimator="density", model=1, n=100, replications=1,
+                evaluation_points=(0.0,), kappa=4,
+            )
+
+    def test_uncorrected_density_needs_no_bias_kernel(self):
+        # rho = 0 without DPI never forms the bias kernel's derivative
+        cfg = McConfig(
+            estimator="density", model=1, n=100, replications=1,
+            evaluation_points=(0.0,), kappa=4, rho=0.0, bw_rule="mse",
+        )
+        assert run_mc(cfg, workers=1).used_replications == (1,)
+
     def test_density_accepts_silverman(self):
         cfg = McConfig(
             estimator="density", model=1, n=100, replications=5,
