@@ -18,17 +18,12 @@ from .errors import (
     ZeroCurvatureError,
 )
 from .kernels import (
-    FULL_SUPPORT,
     KernelSpec,
     TruncatedSupport,
     custom_kernel,
-    eval_kernel,
     induced_kernel,
     induced_kernel_M,
     kernel,
-    kernel_derivative,
-    kernel_moment_mu,
-    kernel_moment_theta,
     kernel_names,
     minvar_derivative_kernel,
 )

@@ -31,7 +31,7 @@ from .errors import (
     ZeroCurvatureError,
 )
 from .kernels import KernelSpec, TruncatedSupport, induced_kernel, kernel, minvar_derivative_kernel
-from .locpoly import LocPolyFit, RegressionSample, VarianceMethod, lp_fit
+from .locpoly import LocPolyFit, RegressionSample, lp_fit
 
 __all__ = [
     "CoveragePolys",
@@ -439,15 +439,20 @@ def global_poly_derivative(sample: RegressionSample, k: int, x: float) -> float:
     quadratic gamma_{k} k! + gamma_{k+1} (k+1)! x + gamma_{k+2} ((k+2)!/2) x^2
     (0-based coefficient indices), evaluated exactly.
     """
+    return _global_poly_pilot(sample, k, x)[0]
+
+
+def _global_poly_pilot(sample: RegressionSample, k: int, x: float):
+    """(m^(k)(x), sigma2_hat) from one global fit of degree k+2."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if sample.n <= k + 6:
         raise SingularDesignError(f"need n > {k + 6} observations for k = {k}")
-    gamma, _s2 = _global_poly_fit(sample, k + 2)
+    gamma, s2 = _global_poly_fit(sample, k + 2)
     out = 0.0
     for j in range(k, k + 3):
         out += gamma[j] * math.factorial(j) / math.factorial(j - k) * x ** (j - k)
-    return float(out)
+    return float(out), s2
 
 
 def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
@@ -490,8 +495,7 @@ def mse_bandwidth_lp(
     support when ``boundary`` is set.
     """
     n = sample.n
-    m_deriv = global_poly_derivative(sample, p + 1, x)
-    _gamma, sigma2 = _global_poly_fit(sample, p + 3)
+    m_deriv, sigma2 = _global_poly_pilot(sample, p + 1, x)
     xs = DensitySample(sample.x_values)
     h_f = silverman_rot_density(xs, 2)
     if h_f.diagnostics.get("invalid"):
@@ -673,7 +677,6 @@ def dpi_bandwidth_lp(
     boundary_flag: bool,
     K: KernelSpec,
     alpha: float = 0.05,
-    method: VarianceMethod | None = None,
 ) -> BandwidthChoice:
     """Direct plug-in coverage-error-optimal bandwidth for RBC local polynomials.
 
@@ -688,8 +691,6 @@ def dpi_bandwidth_lp(
     n = sample.n
     q = p + 1
     diag: dict = {"boundary": boundary_flag}
-    if method is not None:
-        diag["variance_method"] = method.kind
 
     def _scale_fallback(reason: str) -> BandwidthChoice:
         sigma_x = float(np.std(sample.x_values, ddof=1))

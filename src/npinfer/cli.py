@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bandwidth import select
+from .bandwidth import RULES, select
 from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
-from .errors import NpinferError, ParseError, SchemaError
+from .errors import ConfigError, NpinferError, ParseError, SchemaError
 from .kernels import kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
 from .simulate import McConfig, bandwidth_grid_sweep, curve_rows, run_mc
@@ -139,13 +139,28 @@ def _emit(result, args, argv, config, inputs):
         print(text)
 
 
+def _worker_count(text) -> int:
+    """A worker count given as text; anything but an integer >= 1 is rejected."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
+    """--workers, else RBC_NPINFER_WORKERS, else the machine's CPU count."""
+    if args.workers is not None:
         return args.workers
     env = os.environ.get("RBC_NPINFER_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _worker_count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"RBC_NPINFER_WORKERS: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +353,8 @@ def _add_common_estimation(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a rule that the estimator lacks is an estimation error (exit 1), not a usage error
+    all_rules = tuple(dict.fromkeys(rule for rules in RULES.values() for rule in rules))
     parser = _Parser(prog="npinfer", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     d_inf = dens_sub.add_parser("infer", help="point estimate and US/BC/RBC intervals")
     _add_common_estimation(d_inf)
     d_inf.add_argument("--h", default="auto", help="bandwidth value or 'auto'")
-    d_inf.add_argument("--bw", default="dpi", choices=["dpi", "rot", "mse", "silverman"])
+    d_inf.add_argument("--bw", default="dpi", choices=RULES["density"])
     d_inf.add_argument("--rho", type=float, default=1.0)
     d_inf.add_argument("--kappa", type=int, default=2)
     d_inf.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
@@ -358,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     l_inf = lp_sub.add_parser("infer", help="point estimate and US/BC/RBC intervals")
     _add_common_estimation(l_inf)
     l_inf.add_argument("--h", default="auto", help="bandwidth value or 'auto'")
-    l_inf.add_argument("--bw", default="dpi", choices=["dpi", "rot", "mse"])
+    l_inf.add_argument("--bw", default="dpi", choices=RULES["lpreg"])
     l_inf.add_argument("--p", type=int, default=1)
     l_inf.add_argument("--q", type=int, default=2)
     l_inf.add_argument("--rho", type=float, default=1.0)
-    l_inf.add_argument("--vce", default="hc3", choices=["hc0", "hc1", "hc2", "hc3", "nn"])
+    l_inf.add_argument("--vce", default="hc3", choices=VarianceMethod.KINDS)
     l_inf.add_argument("--nn-neighbors", type=int, default=3)
     l_inf.add_argument("--bias-kernel", default=None, choices=kernel_names())
     l_inf.add_argument("--boundary", action="store_true")
@@ -370,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bw = sub.add_parser("bw", help="bandwidth selection")
     _add_common_estimation(bw)
-    bw.add_argument("--method", default="dpi", choices=["dpi", "rot", "mse"])
-    bw.add_argument("--estimator", default="density", choices=["density", "lpreg"])
+    bw.add_argument("--method", default="dpi", choices=all_rules)
+    bw.add_argument("--estimator", default="density", choices=tuple(RULES))
     bw.add_argument("--p", type=int, default=1)
     bw.add_argument("--kappa", type=int, default=2)
     bw.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
@@ -385,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         ss.add_argument("--model", type=int, required=True)
         ss.add_argument("--n", type=int, default=500)
         ss.add_argument("--reps", type=int, default=2000)
-        ss.add_argument("--bw", default="dpi", choices=["dpi", "rot", "mse", "silverman"])
+        ss.add_argument("--bw", default="dpi", choices=all_rules)
         ss.add_argument("--h", type=float, default=None, help="fixed bandwidth override")
         ss.add_argument("--h-grid", default=None, help="lo:hi:count sweep grid")
         ss.add_argument("--points", default=None, help="comma-separated evaluation points")
@@ -396,16 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
         ss.add_argument("--kappa", type=int, default=2)
         ss.add_argument("--kernel", default="epanechnikov", choices=kernel_names())
         ss.add_argument("--bias-kernel", default=None, choices=kernel_names())
-        ss.add_argument("--vce", default="hc3", choices=["hc0", "hc1", "hc2", "hc3", "nn"])
+        ss.add_argument("--vce", default="hc3", choices=VarianceMethod.KINDS)
         ss.add_argument("--nn-neighbors", type=int, default=3)
         ss.add_argument("--boundary", action="store_true")
         ss.add_argument("--x-law", default=None, help="lo,hi uniform support override")
         ss.add_argument("--seed", type=int, default=1)
-        ss.add_argument("--workers", type=int, default=None)
+        ss.add_argument("--workers", type=_worker_count, default=None)
         ss.add_argument("--out", default=None)
         ss.add_argument("--curves", default=None)
         if name == "sweep":
-            ss.add_argument("--estimator", default="lpreg", choices=["density", "lpreg"])
+            ss.add_argument("--estimator", default="lpreg", choices=tuple(RULES))
         ss.set_defaults(func=cmd_sim)
 
     kern = sub.add_parser("kernels", help="kernel inspection")

@@ -47,7 +47,7 @@ __all__ = [
 DEFAULT_BIAS_KERNEL = "mseopt-deriv2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySample:
     """An i.i.d. univariate sample; observations must be finite.
 

@@ -50,14 +50,9 @@ import numpy as np
 __all__ = [
     "KernelSpec",
     "TruncatedSupport",
-    "FULL_SUPPORT",
     "kernel",
     "custom_kernel",
     "kernel_names",
-    "eval_kernel",
-    "kernel_moment_mu",
-    "kernel_moment_theta",
-    "kernel_derivative",
     "induced_kernel",
     "induced_kernel_M",
     "derivative_part",
@@ -76,13 +71,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def _poly_eval(coeffs: Sequence[Fraction], u: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
@@ -151,9 +139,6 @@ class TruncatedSupport:
         return self.lower == -1.0 and self.upper == 1.0
 
 
-FULL_SUPPORT = TruncatedSupport(-1.0, 1.0)
-
-
 # ----------------------------------------------------------------------
 # kernel specification
 # ----------------------------------------------------------------------
@@ -187,13 +172,6 @@ class KernelSpec:
     @property
     def support(self) -> tuple:
         return (float(self.pieces[0][0]), float(self.pieces[-1][1]))
-
-    @property
-    def coefficients(self) -> tuple:
-        """Coefficient tuple when the kernel is a single polynomial piece."""
-        if len(self.pieces) != 1:
-            raise ValueError(f"kernel {self.name!r} has {len(self.pieces)} pieces")
-        return self.pieces[0][2]
 
     @cached_property
     def _breaks(self) -> np.ndarray:
@@ -301,10 +279,6 @@ class KernelSpec:
         if k < 1:
             raise ValueError("k must be at least 1")
         return float(self._integral(0, k, trunc))
-
-    def raw_moment(self, k: int, trunc: TruncatedSupport | None = None) -> float:
-        """Plain integral of u^k K(u) du (no sign or factorial normalization)."""
-        return float(self.moment_mu(k, trunc) * math.factorial(k) * (-1) ** k)
 
     def power_weighted_integral(
         self, m: int, power: int, trunc: TruncatedSupport | None = None
@@ -510,30 +484,6 @@ def induced_kernel(K: KernelSpec, L: KernelSpec, kappa: int, rho: float) -> Kern
         kappa=K.kappa + 2,
         derivative_target=0,
     )
-
-
-# ----------------------------------------------------------------------
-# spec operation aliases (pointwise forms)
-# ----------------------------------------------------------------------
-
-def eval_kernel(spec: KernelSpec, u: float) -> float:
-    """Kernel value at u; exactly 0 outside the support."""
-    return spec(u)
-
-
-def kernel_moment_mu(spec: KernelSpec, k: int, trunc: TruncatedSupport | None = None) -> float:
-    return spec.moment_mu(k, trunc)
-
-
-def kernel_moment_theta(spec: KernelSpec, k: int, trunc: TruncatedSupport | None = None) -> float:
-    return spec.moment_theta(k, trunc)
-
-
-def kernel_derivative(spec: KernelSpec, order: int, u: float) -> float:
-    """Exact order-th derivative of the kernel polynomial at u (0 outside)."""
-    if order == 0:
-        return spec(u)
-    return spec.derivative(order)(u)
 
 
 def induced_kernel_M(K: KernelSpec, L: KernelSpec, kappa: int, rho: float, u) -> float:

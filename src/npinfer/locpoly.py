@@ -74,22 +74,23 @@ class RegressionSample:
 
 @dataclass(frozen=True, eq=False)
 class VarianceMethod:
-    """Residual weighting for the sandwich: HC0-HC3 or nearest neighbor."""
+    """Residual weighting for the sandwich: HC0-HC3 or nearest neighbor.
+
+    ``kind`` is one of ``KINDS``, in any letter case.
+    """
+
+    KINDS = ("hc0", "hc1", "hc2", "hc3", "nn")
 
     kind: str = "hc3"
     nn_neighbors: int = 3
 
     def __post_init__(self):
         kind = self.kind.lower()
-        if kind not in ("hc0", "hc1", "hc2", "hc3", "nn"):
+        if kind not in self.KINDS:
             raise ValueError(f"unknown variance method {self.kind!r}")
         if self.nn_neighbors < 1:
             raise ValueError("nn_neighbors must be >= 1")
         object.__setattr__(self, "kind", kind)
-
-    @classmethod
-    def parse(cls, text: str, nn_neighbors: int = 3) -> "VarianceMethod":
-        return cls(kind=text, nn_neighbors=nn_neighbors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +126,6 @@ class LocPolyFit:
     @property
     def m_hat(self) -> float:
         return float(self.beta_hat[0])
-
-    def unit_weight_row(self, j: int) -> np.ndarray:
-        """Linear weights of e_j' G^-1 R' W Y / n (scaled basis row j)."""
-        gj = self.g_inv[j]
-        out = np.zeros_like(self.u)
-        m = self.in_window
-        out[m] = (self.basis[m] @ gj) * self.kvals[m] / (self.u.size * self.h)
-        return out
 
 
 def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) -> LocPolyFit:
@@ -203,19 +196,26 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     )
 
 
-def _derivative_weight_row(fit_q: LocPolyFit, p: int) -> np.ndarray:
-    """Weights of e_{p+1}' G_q^-1 R_q' W_q Y / n from the degree-q fit."""
+def _bias_parts(fit_p: LocPolyFit, fit_q: LocPolyFit):
+    """(c, s) with bias_hat = rho^(p+1) * c * (s @ Y).
+
+    c = e_0' G_p^-1 Lambda_p, and s holds the linear weights of
+    e_{p+1}' G_q^-1 R_q' W_q Y / n from the degree-q fit.
+    """
+    p = fit_p.p
     if fit_q.p <= p:
         raise ValueError("bias fit must have degree q > p")
-    return fit_q.unit_weight_row(p + 1)
+    c = float(fit_p.g_inv[0] @ fit_p.Lambda1)
+    m = fit_q.in_window
+    s = np.zeros_like(fit_q.u)
+    s[m] = (fit_q.basis[m] @ fit_q.g_inv[p + 1]) * fit_q.kvals[m] / (fit_q.u.size * fit_q.h)
+    return c, s
 
 
 def _rbc_weights(fit_p: LocPolyFit, fit_q: LocPolyFit, rho: float) -> np.ndarray:
     """Linear weights of the bias-corrected estimate m_hat - bias_hat."""
-    p = fit_p.p
-    c = float(fit_p.g_inv[0] @ fit_p.Lambda1)
-    s = _derivative_weight_row(fit_q, p)
-    return fit_p.weights - rho ** (p + 1) * c * s
+    c, s = _bias_parts(fit_p, fit_q)
+    return fit_p.weights - rho ** (fit_p.p + 1) * c * s
 
 
 def lp_bias_estimate(
@@ -237,11 +237,9 @@ def lp_bias_estimate(
 
 
 def _bias_from_fits(fit_p: LocPolyFit, fit_q: LocPolyFit, sample: RegressionSample) -> float:
-    p = fit_p.p
     rho = fit_p.h / fit_q.h
-    c = float(fit_p.g_inv[0] @ fit_p.Lambda1)
-    s = _derivative_weight_row(fit_q, p)
-    return rho ** (p + 1) * c * float(s @ sample.y_values)
+    c, s = _bias_parts(fit_p, fit_q)
+    return rho ** (fit_p.p + 1) * c * float(s @ sample.y_values)
 
 
 def lp_residual_weights(

@@ -194,10 +194,9 @@ class McConfig:
 
     ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed"
     (requires ``fixed_h``).  ``boundary`` switches the local polynomial
-    selectors to the boundary rate.  ``workers`` is an execution detail
-    and is excluded from the report echo so that reports are
-    byte-identical across worker counts.  An invalid setting raises
-    ``ConfigError`` here, before any replication runs.
+    selectors to the boundary rate.  An invalid setting raises
+    ``ConfigError`` here, before any replication runs.  The worker count
+    is an argument of ``run_mc``; it never enters the report.
     """
 
     estimator: str  # "density" | "lpreg"
@@ -219,11 +218,10 @@ class McConfig:
     boundary: bool = False
     x_law: tuple | None = None
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "evaluation_points", tuple(float(x) for x in self.evaluation_points))
-        if self.estimator not in ("density", "lpreg"):
+        if self.estimator not in RULES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         rules = RULES[self.estimator] + ("fixed",)
         if self.bw_rule not in rules:
@@ -411,7 +409,7 @@ def _quartile_stats(values: np.ndarray) -> dict:
     }
 
 
-def run_mc(config: McConfig, workers: int | None = None, _replication=None) -> McReport:
+def run_mc(config: McConfig, workers: int = 1, _replication=None) -> McReport:
     """Run the Monte Carlo experiment and aggregate a coverage report.
 
     Replication failures (singular designs, undefined bandwidths) are
@@ -420,7 +418,6 @@ def run_mc(config: McConfig, workers: int | None = None, _replication=None) -> M
     the built-in estimator path (single-worker only).
     """
     nrep = config.replications
-    workers = workers if workers is not None else config.workers
     rep_fn = _replication or _one_replication
 
     if _replication is not None or workers <= 1:
@@ -501,7 +498,7 @@ def _aggregate(config: McConfig, records, truths) -> McReport:
     )
 
 
-def bandwidth_grid_sweep(config: McConfig, h_grid: Sequence[float], workers: int | None = None):
+def bandwidth_grid_sweep(config: McConfig, h_grid: Sequence[float], workers: int = 1):
     """Coverage/length/bias curves over a fixed bandwidth grid.
 
     Runs the experiment once per grid bandwidth with the fixed rule and

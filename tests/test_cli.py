@@ -205,11 +205,15 @@ class TestRuleParity:
 
         assert main([estimator, "infer", "--data", data, "--x", "0.3", "--bw", rule]) == 0
         assert json.loads(capsys.readouterr().out)["bandwidth"] == {"value": h, "rule": rule}
-        if rule == "silverman":  # not one of the bw command's --method choices
-            return
         argv = ["bw", "--data", data, "--x", "0.3", "--estimator", estimator, "--method", rule]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["value"] == h
+
+    def test_bw_rule_the_estimator_lacks_is_estimation_error(self, regression_csv, capsys):
+        argv = ["bw", "--data", regression_csv, "--x", "0.3", "--estimator", "lpreg",
+                "--method", "silverman"]
+        assert main(argv) == 1
+        assert _last_error(capsys)["error"] == "ValueError"
 
     def test_degenerate_silverman_is_zero_curvature(self, tmp_path, capsys):
         path = tmp_path / "constant.csv"
@@ -296,3 +300,21 @@ def test_workers_env_override(monkeypatch):
     Args.workers = 5
     monkeypatch.setenv("RBC_NPINFER_WORKERS", "2")
     assert _resolve_workers(Args()) == 5
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_workers_flag_below_one_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "lpreg", "--model", "5", "--workers", value])
+    assert exc.value.code == 2
+    assert _last_error(capsys)["error"] == "usage"
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "many"])
+def test_workers_env_rejected_before_any_replication(value, monkeypatch, capsys):
+    monkeypatch.setenv("RBC_NPINFER_WORKERS", value)
+    code = main(["sim", "lpreg", "--model", "5", "--n", "60", "--reps", "1", "--points", "0"])
+    assert code == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ConfigError"
+    assert "RBC_NPINFER_WORKERS" in error["message"]

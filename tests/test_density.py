@@ -59,6 +59,13 @@ class TestPointEstimate:
         b = density_point_estimate(DensitySample(x[::-1].copy()), 0.1, 0.7, EPA)
         assert a == b
 
+    def test_sample_compares_and_hashes_by_identity(self):
+        # an ndarray field has no truth value, so samples compare like RegressionSample
+        x = np.array([0.3, -1.2, 0.5])
+        a, b = DensitySample(x), DensitySample(x)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
 
 class TestBiasEstimate:
     def test_direct_substitution(self):

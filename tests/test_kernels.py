@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from npinfer import (
-    FULL_SUPPORT,
     DensitySample,
     KernelSpec,
     McConfig,
     TruncatedSupport,
     custom_kernel,
     density_infer,
-    eval_kernel,
     induced_kernel,
     induced_kernel_M,
     kernel,
-    kernel_derivative,
-    kernel_moment_mu,
-    kernel_moment_theta,
     kernel_names,
     minvar_derivative_kernel,
     run_mc,
@@ -82,14 +77,14 @@ def oracle_approx(oracle):
 
 class TestEval:
     def test_epanechnikov_center(self):
-        assert eval_kernel(kernel("epanechnikov"), 0.0) == 0.75
+        assert kernel("epanechnikov")(0.0) == 0.75
 
     def test_outside_support_is_exact_zero(self):
-        assert eval_kernel(kernel("epanechnikov"), 1.5) == 0.0
-        assert eval_kernel(kernel("epanechnikov"), -1.0001) == 0.0
+        assert kernel("epanechnikov")(1.5) == 0.0
+        assert kernel("epanechnikov")(-1.0001) == 0.0
 
     def test_minvar_deriv2_center(self):
-        assert eval_kernel(kernel("minvar-deriv2"), 0.0) == -3.75
+        assert kernel("minvar-deriv2")(0.0) == -3.75
 
     def test_triangular_shape(self):
         tri = kernel("triangular")
@@ -104,19 +99,19 @@ class TestEval:
 
 class TestMoments:
     def test_epanechnikov_mu2(self):
-        assert kernel_moment_mu(kernel("epanechnikov"), 2) == pytest.approx(0.1, abs=1e-15)
+        assert kernel("epanechnikov").moment_mu(2) == pytest.approx(0.1, abs=1e-15)
 
     def test_epanechnikov_mu1_zero(self):
-        assert kernel_moment_mu(kernel("epanechnikov"), 1) == 0.0
+        assert kernel("epanechnikov").moment_mu(1) == 0.0
 
     def test_uniform_mu2(self):
-        assert kernel_moment_mu(kernel("uniform"), 2) == pytest.approx(1 / 6, abs=1e-15)
+        assert kernel("uniform").moment_mu(2) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_epanechnikov_thetas(self):
         epa = kernel("epanechnikov")
-        assert kernel_moment_theta(epa, 2) == pytest.approx(0.6, abs=1e-15)
-        assert kernel_moment_theta(epa, 3) == pytest.approx(27 / 70, abs=1e-15)
-        assert kernel_moment_theta(epa, 4) == pytest.approx(9 / 35, abs=1e-15)
+        assert epa.moment_theta(2) == pytest.approx(0.6, abs=1e-15)
+        assert epa.moment_theta(3) == pytest.approx(27 / 70, abs=1e-15)
+        assert epa.moment_theta(4) == pytest.approx(9 / 35, abs=1e-15)
 
     def test_minvar_deriv2_theta6_exact(self):
         # int_{-1}^{1} (a + b u^2)^6 du with K = -15/4 + 45/4 u^2, expanded
@@ -124,40 +119,40 @@ class TestMoments:
         a, b = Fraction(-15, 4), Fraction(45, 4)
         exact = sum(math.comb(6, j) * a ** (6 - j) * b**j * Fraction(2, 2 * j + 1) for j in range(7))
         assert exact == Fraction(603703125, 32032)
-        assert kernel_moment_theta(kernel("minvar-deriv2"), 6) == float(exact)
+        assert kernel("minvar-deriv2").moment_theta(6) == float(exact)
 
     @pytest.mark.parametrize("name", LEVEL_KERNELS)
     def test_level_kernels_integrate_to_one(self, name):
-        assert abs(kernel_moment_mu(kernel(name), 0) - 1.0) < 1e-14
+        assert abs(kernel(name).moment_mu(0) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("name", ALL_KERNELS)
     @pytest.mark.parametrize("j", [1, 3, 5, 7])
     def test_odd_moments_vanish(self, name, j):
-        assert abs(kernel_moment_mu(kernel(name), j)) < 1e-14
+        assert abs(kernel(name).moment_mu(j)) < 1e-14
 
     @pytest.mark.parametrize("name", LEVEL_KERNELS)
     def test_kernel_order(self, name):
         spec = kernel(name)
         for j in range(1, spec.kappa):
-            assert abs(kernel_moment_mu(spec, j)) < 1e-14
-        assert abs(kernel_moment_mu(spec, spec.kappa)) > 1e-6
+            assert abs(spec.moment_mu(j)) < 1e-14
+        assert abs(spec.moment_mu(spec.kappa)) > 1e-6
 
     @pytest.mark.parametrize("name", ALL_KERNELS)
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
     def test_mu_against_quadrature_oracle(self, name, k):
         spec = kernel(name)
-        assert kernel_moment_mu(spec, k) == oracle_approx(gl_mu(spec, k))
+        assert spec.moment_mu(k) == oracle_approx(gl_mu(spec, k))
 
     @pytest.mark.parametrize("name", ALL_KERNELS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_theta_against_quadrature_oracle(self, name, k):
         spec = kernel(name)
-        assert kernel_moment_theta(spec, k) == oracle_approx(gl_theta(spec, k))
+        assert spec.moment_theta(k) == oracle_approx(gl_theta(spec, k))
 
     def test_truncated_odd_moment_survives(self):
         trunc = TruncatedSupport(0.0, 1.0)
         epa = kernel("epanechnikov")
-        val = kernel_moment_mu(epa, 1, trunc)
+        val = epa.moment_mu(1, trunc)
         assert abs(val) > 1e-3
         assert val == pytest.approx(gl_mu(epa, 1, trunc), abs=1e-12)
 
@@ -170,25 +165,25 @@ class TestMoments:
 
 class TestDerivative:
     def test_second_derivative_of_epanechnikov(self):
-        assert kernel_derivative(kernel("epanechnikov"), 2, 0.5) == -1.5
+        assert kernel("epanechnikov").derivative(2)(0.5) == -1.5
 
     def test_zeroth_derivative_is_identity(self):
         spec = kernel("mseopt-order4")
         for u in [-0.9, 0.0, 0.4]:
-            assert kernel_derivative(spec, 0, u) == eval_kernel(spec, u)
+            assert spec.derivative(0)(u) == spec(u)
 
     def test_uniform_first_derivative(self):
-        assert kernel_derivative(kernel("uniform"), 1, 0.5) == 0.0
+        assert kernel("uniform").derivative(1)(0.5) == 0.0
 
     def test_outside_support(self):
-        assert kernel_derivative(kernel("epanechnikov"), 1, 2.0) == 0.0
+        assert kernel("epanechnikov").derivative(1)(2.0) == 0.0
 
     def test_finite_difference_oracle(self):
         spec = kernel("mseopt-deriv2")
         eps = 1e-6
         for u in [-0.6, -0.1, 0.3, 0.8]:
             fd = (spec(u + eps) - spec(u - eps)) / (2 * eps)
-            assert kernel_derivative(spec, 1, u) == pytest.approx(fd, abs=1e-5)
+            assert spec.derivative(1)(u) == pytest.approx(fd, abs=1e-5)
 
 
 class TestInducedKernel:
@@ -300,7 +295,7 @@ def shared_specs(draw):
 
 truncations = st.one_of(
     st.none(),
-    st.just(FULL_SUPPORT),
+    st.just(TruncatedSupport(-1.0, 1.0)),
     st.tuples(st.floats(-1.0, 0.0), st.floats(0.0, 1.0))
     .filter(lambda t: t[0] < t[1])
     .map(lambda t: TruncatedSupport(*t)),
@@ -314,7 +309,6 @@ CACHED_OPS = {
     "power_weighted_integral": lambda spec, k, power, trunc: spec.power_weighted_integral(
         k, power, trunc
     ),
-    "raw_moment": lambda spec, k, power, trunc: spec.raw_moment(k, trunc),
     "derivative": lambda spec, k, power, trunc: spec.derivative(k),
 }
 

@@ -312,8 +312,8 @@ class TestInfer:
 
 
 def test_variance_method_parsing():
-    assert VarianceMethod.parse("HC3").kind == "hc3"
-    assert VarianceMethod.parse("nn", nn_neighbors=5).nn_neighbors == 5
+    assert VarianceMethod("HC3").kind == "hc3"
+    assert VarianceMethod("nn", nn_neighbors=5).nn_neighbors == 5
     with pytest.raises(ValueError):
         VarianceMethod("hc9")
     with pytest.raises(ValueError):
