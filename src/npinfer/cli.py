@@ -22,7 +22,7 @@ from . import __version__
 from .bandwidth import RULES, select
 from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
 from .errors import ConfigError, NpinferError, ParseError, SchemaError
-from .kernels import kernel, kernel_names
+from .kernels import TruncatedSupport, kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
 from .simulate import McConfig, bandwidth_grid_sweep, curve_rows, run_mc
 
@@ -226,8 +226,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError("grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or lo <= 0 or hi < lo:
-        raise ValueError("grid must satisfy 0 < lo <= hi and count >= 1")
+    if count < 1 or not 0 < lo <= hi < math.inf:
+        raise ValueError("grid must satisfy 0 < lo <= hi < inf and count >= 1")
     if count == 1:
         return (lo,)
     return tuple(np.geomspace(lo, hi, count))
@@ -239,9 +239,14 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sim(args, argv):
+    if args.sim_command == "sweep" and not args.h_grid:
+        raise SchemaError("sim sweep requires --h-grid lo:hi:count")
+    if args.h_grid and not args.curves:
+        raise SchemaError("--h-grid requires --curves for the output table")
+    grid = _parse_grid(args.h_grid) if args.h_grid else None
     estimator = args.sim_command if args.sim_command in ("density", "lpreg") else args.estimator
     default_points = "-2,-1,0,1,2" if estimator == "density" else "-0.6667,-0.3333,0,0.3333,0.6667"
-    points = _parse_points(args.points or default_points)
+    points = _parse_points(default_points if args.points is None else args.points)
     x_law = _parse_points(args.x_law) if args.x_law else None
     config = McConfig(
         estimator=estimator,
@@ -267,12 +272,8 @@ def cmd_sim(args, argv):
     workers = _resolve_workers(args)
     outputs = []
 
-    if args.sim_command == "sweep" and not args.h_grid:
-        raise SchemaError("sim sweep requires --h-grid lo:hi:count")
-
     rows = None
-    if args.h_grid:
-        grid = _parse_grid(args.h_grid)
+    if grid:
         rows = bandwidth_grid_sweep(config, grid, workers=workers)
         report = None
     else:
@@ -289,8 +290,6 @@ def cmd_sim(args, argv):
         print(_dump_json(report.to_dict()))
 
     if rows is not None:
-        if not args.curves:
-            raise SchemaError("--h-grid requires --curves for the output table")
         multi_x = len(points) > 1
         with open(args.curves, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -312,9 +311,10 @@ def cmd_kernels_show(args, argv):
     spec = kernel(args.kernel)
     trunc = None
     if args.trunc:
-        lo, hi = _parse_points(args.trunc)
-        from .kernels import TruncatedSupport
-
+        try:
+            lo, hi = _parse_points(args.trunc)
+        except ValueError:
+            raise SchemaError(f"--trunc expects two numbers lo,hi, got {args.trunc!r}") from None
         trunc = TruncatedSupport(lo, hi)
     if args.at is not None:
         print(repr(spec(args.at)))

@@ -5,7 +5,8 @@ Replication r of a run with seed s always draws from the counter-based
 Philox stream keyed by (s, r), so results are identical for any worker
 count; uniforms are mapped to Normals by the inverse CDF.  Aggregation
 happens single-threaded in replication order, which makes the assembled
-report byte-for-byte reproducible.
+report byte-for-byte reproducible.  A bandwidth sweep is one such run:
+each sample is drawn once for every grid bandwidth, in one process pool.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -334,8 +337,9 @@ class McReport:
 # single replication
 # ----------------------------------------------------------------------
 
-def _one_replication(config: McConfig, rep: int) -> list:
-    """Outcome records for one replication, one entry per evaluation point.
+def _one_replication(config: McConfig, rep: int, h_grid=(None,)) -> list:
+    """Outcome records of one replication's sample, one per (h, x) in
+    product(h_grid, evaluation_points); an h of None is chosen by the rule.
 
     Each record is (status, h, [(center, half_width), ...] per method);
     status 0 = ok, 1 = singular design, 2 = bandwidth undefined.
@@ -357,12 +361,13 @@ def _one_replication(config: McConfig, rep: int) -> list:
             return lp_infer(sample, x, config.p, config.q, h, b, K, L, config.alpha, method)
 
     out = []
-    for x in config.evaluation_points:
+    for h, x in product(h_grid, config.evaluation_points):
         try:
-            h = config.fixed_h if config.bw_rule == "fixed" else select(
-                config.bw_rule, sample, x, K, L=L, kappa=config.kappa, p=config.p,
-                boundary=config.boundary, alpha=config.alpha,
-            ).value
+            if h is None:
+                h = config.fixed_h if config.bw_rule == "fixed" else select(
+                    config.bw_rule, sample, x, K, L=L, kappa=config.kappa, p=config.p,
+                    boundary=config.boundary, alpha=config.alpha,
+                ).value
         except (ZeroCurvatureError, SingularDesignError):
             out.append((2, math.nan, None))
             continue
@@ -376,9 +381,14 @@ def _one_replication(config: McConfig, rep: int) -> list:
     return out
 
 
-def _worker_chunk(args) -> list:
-    config, reps = args
-    return [(r, _one_replication(config, r)) for r in reps]
+def _run_replications(config: McConfig, rep_fn, workers: int) -> list:
+    """``rep_fn(config, r)`` for every replication r, in replication order."""
+    reps = range(config.replications)
+    if workers <= 1:
+        return list(map(rep_fn, repeat(config), reps))
+    chunk = max(1, math.ceil(len(reps) / (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(rep_fn, repeat(config), reps, chunksize=chunk))
 
 
 # ----------------------------------------------------------------------
@@ -417,28 +427,13 @@ def run_mc(config: McConfig, workers: int = 1, _replication=None) -> McReport:
     they never abort the run.  ``_replication`` is a test hook replacing
     the built-in estimator path (single-worker only).
     """
-    nrep = config.replications
-    rep_fn = _replication or _one_replication
-
-    if _replication is not None or workers <= 1:
-        records = [(r, rep_fn(config, r)) for r in range(nrep)]
-    else:
-        chunk = max(1, math.ceil(nrep / (workers * 4)))
-        chunks = [
-            (config, range(start, min(start + chunk, nrep)))
-            for start in range(0, nrep, chunk)
-        ]
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_worker_chunk, chunks):
-                records.extend(part)
-    records.sort(key=lambda t: t[0])
+    workers = 1 if _replication is not None else workers
+    records = _run_replications(config, _replication or _one_replication, workers)
     return _aggregate(config, records, _truths(config))
 
 
 def _aggregate(config: McConfig, records, truths) -> McReport:
     npts = len(config.evaluation_points)
-    nrep = config.replications
     cover = {m: np.zeros(npts, dtype=int) for m in METHODS}
     length_sum = {m: np.zeros(npts) for m in METHODS}
     bias_sum = {m: np.zeros(npts) for m in METHODS}
@@ -448,7 +443,7 @@ def _aggregate(config: McConfig, records, truths) -> McReport:
     used = np.zeros(npts, dtype=int)
     h_values = [[] for _ in range(npts)]
 
-    for _rep, recs in records:
+    for recs in records:
         for i, (status, h, intervals) in enumerate(recs):
             if status == 2:
                 bad_bw[i] += 1
@@ -501,17 +496,22 @@ def _aggregate(config: McConfig, records, truths) -> McReport:
 def bandwidth_grid_sweep(config: McConfig, h_grid: Sequence[float], workers: int = 1):
     """Coverage/length/bias curves over a fixed bandwidth grid.
 
-    Runs the experiment once per grid bandwidth with the fixed rule and
-    returns plot-ready rows: one per (h, evaluation point, method) with
-    coverage, mean interval length, and mean bias (center minus truth).
+    Draws each replication's sample once and evaluates every grid
+    bandwidth on it with the fixed rule; returns plot-ready rows: one per
+    (h, evaluation point, method) with coverage, mean interval length,
+    and mean bias (center minus truth).
     """
-    h_grid = [float(h) for h in h_grid]
-    if any(b <= a for a, b in zip(h_grid, h_grid[1:])) or any(h <= 0 for h in h_grid):
-        raise ValueError("h_grid must be strictly increasing and positive")
+    h_grid = tuple(float(h) for h in h_grid)
+    if not h_grid or any(b <= a for a, b in zip(h_grid, h_grid[1:])) or any(h <= 0 for h in h_grid):
+        raise ValueError("h_grid must be non-empty, strictly increasing and positive")
+    # every grid value is checked here, before any replication runs
+    configs = [replace(config, bw_rule="fixed", fixed_h=h) for h in h_grid]
+    records = _run_replications(config, partial(_one_replication, h_grid=h_grid), workers)
+    npts, truths = len(config.evaluation_points), _truths(config)
     rows = []
-    for h in h_grid:
-        report = run_mc(replace(config, bw_rule="fixed", fixed_h=h), workers=workers)
-        rows += curve_rows(report, [h] * len(report.points))
+    for k, cfg in enumerate(configs):
+        report = _aggregate(cfg, [recs[k * npts:(k + 1) * npts] for recs in records], truths)
+        rows += curve_rows(report, [cfg.fixed_h] * npts)
     return rows
 
 

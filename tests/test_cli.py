@@ -1,10 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from npinfer import kernel
+from npinfer import kernel, simulate
 from npinfer.bandwidth import RULES, select
 from npinfer.cli import main, read_density_table, read_regression_table
 from npinfer.errors import ParseError, SchemaError
@@ -67,6 +68,19 @@ class TestExitCodes:
     def test_kernels_show_theta2(self, capsys):
         assert main(["kernels", "show", "--kernel", "epanechnikov", "--moment", "theta2"]) == 0
         assert capsys.readouterr().out.strip() == "0.6"
+
+    @pytest.mark.parametrize("trunc", ["0.5", "0,0.5,1", "a,b"])
+    def test_kernels_show_malformed_trunc(self, trunc, capsys):
+        code = main(["kernels", "show", "--kernel", "epanechnikov", "--trunc", trunc])
+        assert code == 1
+        error = _last_error(capsys)
+        assert error["error"] == "SchemaError"
+        assert "--trunc" in error["message"] and "lo,hi" in error["message"]
+
+    def test_kernels_show_trunc(self, capsys):
+        code = main(["kernels", "show", "--kernel", "epanechnikov", "--trunc=-1,0"])
+        assert code == 0
+        assert float(capsys.readouterr().out) == pytest.approx(0.5)
 
     def test_missing_data_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -274,6 +288,32 @@ class TestSimCommand:
              "--n", "50", "--reps", "2", "--points", "0", "--curves", "x.csv"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args, error, fragment",
+        [
+            (["sim", "lpreg", "--h-grid", "0.2:0.4:2"], "SchemaError", "requires --curves"),
+            (["sim", "sweep", "--curves", "x.csv"], "SchemaError", "requires --h-grid"),
+            (["sim", "lpreg", "--h-grid", "0.3:inf:2", "--curves", "x.csv"], "ValueError", "< inf"),
+            (["sim", "sweep", "--h-grid", "nan:0.4:2", "--curves", "x.csv"], "ValueError", "< inf"),
+            (["sim", "sweep", "--h-grid", "0.2:nan:2", "--curves", "x.csv"], "ValueError", "< inf"),
+            (["sim", "lpreg", "--points", ""], "ConfigError", "evaluation_points must not be empty"),
+        ],
+        ids=["grid-without-curves", "sweep-without-grid", "inf-hi", "nan-lo", "nan-hi",
+             "empty-points"],
+    )
+    def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "_one_replication", must_not_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args + ["--model", "5", "--n", "60", "--reps", "300", "--workers", "1"])
+        assert code == 1
+        payload = _last_error(capsys)
+        assert payload["error"] == error
+        assert fragment in payload["message"]
 
     def test_sim_density_runs(self, tmp_path):
         out = tmp_path / "d.json"

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from npinfer import simulate
 from npinfer.errors import ConfigError, NpinferError
 from npinfer.simulate import (
     DENSITY_MODELS,
@@ -13,6 +15,7 @@ from npinfer.simulate import (
     McConfig,
     RegressionModel,
     bandwidth_grid_sweep,
+    curve_rows,
     gen_density_sample,
     gen_regression_sample,
     replication_rng,
@@ -101,8 +104,6 @@ class TestDeterminism:
             bw_rule="silverman",
             seed=1,
         )
-        from dataclasses import replace
-
         r1 = report_bytes(run_mc(cfg))
         r2 = report_bytes(run_mc(replace(cfg, seed=2)))
         assert r1 != r2
@@ -344,8 +345,6 @@ class TestConfigErrors:
 
 class TestSweep:
     def test_single_point_grid_matches_fixed_run(self):
-        from dataclasses import replace
-
         cfg = McConfig(
             estimator="lpreg",
             model=5,
@@ -371,6 +370,64 @@ class TestSweep:
             bandwidth_grid_sweep(cfg, [0.5, 0.4])
         with pytest.raises(ValueError):
             bandwidth_grid_sweep(cfg, [-0.1, 0.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            bandwidth_grid_sweep(cfg, [])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            McConfig(estimator="lpreg", model=5, n=80, replications=6,
+                     evaluation_points=(-0.9, 0.0, 0.5), bw_rule="dpi", seed=31),
+            McConfig(estimator="density", model=2, n=120, replications=5,
+                     evaluation_points=(-1.0, 0.5), bw_rule="silverman", seed=32),
+        ],
+        ids=["lpreg", "density"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_the_per_h_run_mc_loop(self, cfg, workers):
+        # the slow reference: one fixed-rule study per grid bandwidth
+        grid = [0.08, 0.2, 0.45]
+        expected = []
+        for h in grid:
+            report = run_mc(replace(cfg, bw_rule="fixed", fixed_h=h))
+            expected += curve_rows(report, [h] * len(report.points))
+        rows = bandwidth_grid_sweep(cfg, grid, workers=workers)
+        assert json.dumps(rows) == json.dumps(expected)
+
+    def test_sweep_draws_each_replication_once(self, monkeypatch):
+        drawn = []
+
+        def counting(*args):
+            drawn.append(args)
+            return gen_regression_sample(*args)
+
+        monkeypatch.setattr(simulate, "gen_regression_sample", counting)
+        cfg = _lpreg_config(n=60, replications=4, evaluation_points=(0.0, 0.3))
+        rows = bandwidth_grid_sweep(cfg, [0.2, 0.3, 0.5, 0.8], workers=1)
+        assert len(rows) == 4 * 2 * 3
+        assert len(drawn) == cfg.replications
+
+    def test_sweep_starts_one_process_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        cfg = _lpreg_config(n=60, replications=4)
+        bandwidth_grid_sweep(cfg, [0.2, 0.3, 0.5], workers=2)
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_grid_value_rejected_before_any_sample(self, bad, monkeypatch):
+        def must_not_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(simulate, "gen_regression_sample", must_not_draw)
+        with pytest.raises(ConfigError, match="finite fixed_h"):
+            bandwidth_grid_sweep(_lpreg_config(), [0.3, bad])
 
     def test_us_coverage_curve_has_interior_maximum(self):
         # model 5 at x = 0: US coverage rises with h (escaping the
