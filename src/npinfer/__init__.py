@@ -31,12 +31,9 @@ from .density import (
     ConfidenceInterval,
     DensityInference,
     DensitySample,
-    density_bias_estimate,
     density_derivative_estimate,
     density_infer,
     density_point_estimate,
-    density_variance_rbc,
-    density_variance_us,
     gj_density_estimate,
     gj_equivalent_kernel,
 )

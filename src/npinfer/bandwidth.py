@@ -314,6 +314,37 @@ def minimize_ce_objective(coeffs, exponents, bracket) -> float:
     return float(best)
 
 
+def _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag) -> float:
+    """The coverage-error-optimal bandwidth H * n^(-1/(s+1)).
+
+    H minimizes |q1 H^-1 + eta^2 q2 H^(1+2s) + eta q3 H^s| over
+    [0.05, 20] * sigma_x, with eta the plug-in bias constant and s the order
+    of the post-correction bias.  The objective and H are recorded in
+    ``diag``.  Raises MonotoneObjectiveError, with the fallback reason as
+    its message, when the coefficients are not finite or the objective
+    has no interior minimum on the bracket.
+    """
+    coeffs = (q1, eta**2 * q2, eta * q3)
+    if not all(np.isfinite(coeffs)):
+        raise MonotoneObjectiveError("non-finite objective coefficients")
+    exponents = (-1, 1 + 2 * s, s)
+    diag["objective_coeffs"] = list(coeffs)
+    diag["objective_exponents"] = list(exponents)
+    try:
+        H = minimize_ce_objective(coeffs, exponents, (0.05 * sigma_x, 20.0 * sigma_x))
+    except MonotoneObjectiveError as exc:
+        raise MonotoneObjectiveError("objective monotone on the search bracket") from exc
+    diag["H"] = H
+    return float(H * n ** (-1.0 / (s + 1)))
+
+
+def _flagged(value: float, reason: str, *diags: dict) -> BandwidthChoice:
+    """A DPI fallback to ``value``: the merged ``diags``, flagged with ``reason``."""
+    merged = {key: v for d in diags for key, v in d.items()}
+    merged.update({"fallback": True, "fallback_reason": reason})
+    return BandwidthChoice(value=value, rule="dpi", diagnostics=merged)
+
+
 # ----------------------------------------------------------------------
 # density: direct plug-in
 # ----------------------------------------------------------------------
@@ -350,10 +381,12 @@ def dpi_bandwidth_density(
     minimizes the squared three-term objective in H; the selected
     bandwidth is H * n^(-1/(kappa+3)).  Falls back to the rule-of-thumb
     rescaling (flagged) when a pilot degenerates or the objective is
-    monotone on the bracket.
+    monotone on the bracket; a zero sample sd raises ZeroCurvatureError.
     """
     n = sample.n
     sigma_x = float(np.std(sample.observations, ddof=1))
+    if sigma_x <= 0:
+        raise ZeroCurvatureError("sample standard deviation is zero")
     mu_x = float(np.mean(sample.observations))
     diag: dict = {"pilot": "minvar-derivative-kernel, normal-reference MSE bandwidth"}
 
@@ -369,10 +402,7 @@ def dpi_bandwidth_density(
             # reference curvature vanished too; Silverman is always defined
             rot = silverman_rot_density(sample, kappa)
             reason += "; rot undefined, used silverman"
-        d = dict(rot.diagnostics)
-        d.update(diag)
-        d.update({"fallback": True, "fallback_reason": reason})
-        return BandwidthChoice(value=rot.value, rule="dpi", diagnostics=d)
+        return _flagged(rot.value, reason, rot.diagnostics, diag)
 
     nu = kappa + 2
     J = minvar_derivative_kernel(nu)
@@ -388,28 +418,14 @@ def dpi_bandwidth_density(
 
     M = induced_kernel(K, L, kappa, 1.0)
     polys = coverage_polys_density(M, alpha)
-    mu_tilde = M.moment_mu(kappa + 2)
-    coeffs = (
-        polys.q1,
-        (f_nu * mu_tilde) ** 2 * polys.q2,
-        f_nu * mu_tilde * polys.q3,
-    )
-    exponents = (-1, 1 + 2 * (kappa + 2), kappa + 2)
-    diag["objective_coeffs"] = list(coeffs)
-    diag["objective_exponents"] = list(exponents)
-    bracket = (0.05 * sigma_x, 20.0 * sigma_x)
+    eta = f_nu * M.moment_mu(kappa + 2)
     try:
-        H = minimize_ce_objective(coeffs, exponents, bracket)
-    except MonotoneObjectiveError:
-        return _fallback("objective monotone on the search bracket")
-    value = H * n ** (-1.0 / (kappa + 3))
-    diag["H"] = H
-    diag["objective_value"] = abs(
-        coeffs[0] * H ** exponents[0]
-        + coeffs[1] * H ** exponents[1]
-        + coeffs[2] * H ** exponents[2]
-    )
-    return BandwidthChoice(value=float(value), rule="dpi", diagnostics=diag)
+        value = _ce_optimal(polys.q1, polys.q2, polys.q3, eta, nu, sigma_x, n, diag)
+    except MonotoneObjectiveError as exc:
+        return _fallback(str(exc))
+    terms = zip(diag["objective_coeffs"], diag["objective_exponents"])
+    diag["objective_value"] = abs(sum(c * diag["H"] ** e for c, e in terms))
+    return BandwidthChoice(value=value, rule="dpi", diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -690,14 +706,12 @@ def dpi_bandwidth_lp(
     """
     n = sample.n
     q = p + 1
+    sigma_x = float(np.std(sample.x_values, ddof=1))
     diag: dict = {"boundary": boundary_flag}
 
     def _scale_fallback(reason: str) -> BandwidthChoice:
-        sigma_x = float(np.std(sample.x_values, ddof=1))
         rate = -1.0 / (p + 3) if boundary_flag else -1.0 / (p + 4)
-        d = dict(diag)
-        d.update({"fallback": True, "fallback_reason": reason, "pilot": "scale"})
-        return BandwidthChoice(value=2.34 * sigma_x * n**rate, rule="dpi", diagnostics=d)
+        return _flagged(2.34 * sigma_x * n**rate, reason, diag, {"pilot": "scale"})
 
     try:
         h_mse = mse_bandwidth_lp(sample, x, p, K, boundary=boundary_flag)
@@ -708,10 +722,7 @@ def dpi_bandwidth_lp(
     def _rot_fallback(reason: str) -> BandwidthChoice:
         context = "lp-boundary" if boundary_flag else "lp-interior"
         rot = rot_bandwidth(h_mse.value, context, p, n)
-        d = dict(diag)
-        d.update(rot.diagnostics)
-        d.update({"fallback": True, "fallback_reason": reason})
-        return BandwidthChoice(value=rot.value, rule="dpi", diagnostics=d)
+        return _flagged(rot.value, reason, diag, rot.diagnostics)
 
     try:
         fit_p = lp_fit(sample, x, p, h_mse.value, K)
@@ -742,8 +753,6 @@ def dpi_bandwidth_lp(
     core2 = float(g0p @ (lam_p2 - lam_p1 * float(gq_row @ lam_q1)))
     if boundary_flag:
         eta = m_p2 / math.factorial(p + 2) * core2
-        exponents = (-1, 1 + 2 * (p + 2), p + 2)
-        rate = -1.0 / (p + 3)
     else:
         lam_p3 = _lambda_vector(fit_p, 3)
         lam_q2 = _lambda_vector(fit_q, 2)
@@ -752,26 +761,16 @@ def dpi_bandwidth_lp(
             m_p2 / math.factorial(p + 2) * core2
             + m_p3 / math.factorial(p + 3) * core3
         )
-        exponents = (-1, 1 + 2 * (p + 3), p + 3)
-        rate = -1.0 / (p + 4)
     diag["eta_bc"] = eta
     y_scale = max(1.0, float(np.max(np.abs(sample.y_values))))
     if not np.isfinite(eta) or abs(eta) < 1e-12 * y_scale:
         return _rot_fallback("plug-in bias constant vanished")
-
-    coeffs = (q1, eta**2 * q2, eta * q3)
-    if not all(np.isfinite(coeffs)):
-        return _rot_fallback("non-finite objective coefficients")
-    diag["objective_coeffs"] = list(coeffs)
-    diag["objective_exponents"] = list(exponents)
-    sigma_x = float(np.std(sample.x_values, ddof=1))
-    bracket = (0.05 * sigma_x, 20.0 * sigma_x)
+    s = p + 2 if boundary_flag else p + 3  # order of the post-correction bias
     try:
-        H = minimize_ce_objective(coeffs, exponents, bracket)
-    except MonotoneObjectiveError:
-        return _rot_fallback("objective monotone on the search bracket")
-    diag["H"] = H
-    return BandwidthChoice(value=float(H * n**rate), rule="dpi", diagnostics=diag)
+        value = _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag)
+    except MonotoneObjectiveError as exc:
+        return _rot_fallback(str(exc))
+    return BandwidthChoice(value=value, rule="dpi", diagnostics=diag)
 
 
 # ----------------------------------------------------------------------

@@ -222,10 +222,11 @@ def _parse_points(text):
 
 
 def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise SchemaError(f"--h-grid expects lo:hi:count, got {text!r}") from None
     if count < 1 or not 0 < lo <= hi < math.inf:
         raise ValueError("grid must satisfy 0 < lo <= hi < inf and count >= 1")
     if count == 1:

@@ -35,9 +35,6 @@ __all__ = [
     "DensityInference",
     "density_point_estimate",
     "density_derivative_estimate",
-    "density_bias_estimate",
-    "density_variance_us",
-    "density_variance_rbc",
     "density_infer",
     "gj_density_estimate",
     "gj_equivalent_kernel",
@@ -204,52 +201,11 @@ def density_derivative_estimate(
     return float(np.sum(lk.eval_many(u)) / (sample.n * b ** (1 + kappa)))
 
 
-def density_bias_estimate(
-    sample: DensitySample,
-    x: float,
-    h: float,
-    b: float,
-    K: KernelSpec,
-    L: KernelSpec,
-    kappa: int,
-) -> float:
-    """Plug-in estimate of the leading smoothing bias h^kappa f^(kappa)(x) mu_{K,kappa}."""
-    _check_bandwidth(h)
-    _check_bias_bandwidth(b)
-    fk = density_derivative_estimate(sample, x, b, L, kappa)
-    return float(h**kappa * fk * K.moment_mu(kappa))
-
-
-def _fixedn_variance(sample: DensitySample, x: float, h: float, N: KernelSpec) -> float:
-    if sample.n < 2:
-        raise DegenerateSampleError("variance estimation requires n >= 2")
-    vals = N.eval_many((x - sample.observations) / h)
+def _fixedn_variance(vals: np.ndarray, h: float) -> float:
+    """h^(-1) (mean N^2 - (mean N)^2) from the kernel values N((x - X_i)/h)."""
     mean_sq = float(np.mean(vals**2))
     sq_mean = float(np.mean(vals)) ** 2
     return max(0.0, (mean_sq - sq_mean) / h)
-
-
-def density_variance_us(sample: DensitySample, x: float, h: float, K: KernelSpec) -> float:
-    """Fixed-n variance estimate sigma_US^2 of sqrt(nh) f_hat."""
-    _check_bandwidth(h)
-    return _fixedn_variance(sample, x, h, K)
-
-
-def density_variance_rbc(
-    sample: DensitySample,
-    x: float,
-    h: float,
-    b: float,
-    K: KernelSpec,
-    L: KernelSpec,
-    kappa: int,
-) -> float:
-    """Fixed-n variance estimate sigma_RBC^2, with the induced kernel M in place of K."""
-    _check_bandwidth(h)
-    _check_bias_bandwidth(b)
-    rho = 0.0 if np.isinf(b) else h / b
-    M = induced_kernel(K, L, kappa, rho)
-    return _fixedn_variance(sample, x, h, M)
 
 
 def density_infer(
@@ -264,24 +220,34 @@ def density_infer(
 ) -> DensityInference:
     """Assemble the US, BC, and RBC confidence intervals at one point.
 
-    All three intervals use the Normal quantile z = Phi^(-1)(1 - alpha/2)
-    and half-widths z * se / sqrt(nh); zero-variance windows yield
-    zero-width intervals and set the degeneracy flag instead of failing.
+    Each kernel is evaluated once over the sample: K((x - X_i)/h) gives
+    both f_hat and sigma_US^2, L^(kappa)((x - X_i)/b) the bias estimate
+    h^kappa f^(kappa)(x) mu_{K,kappa} (zero for b = +inf), and the induced
+    kernel M_rho sigma_RBC^2.  All three intervals use the Normal quantile
+    z = Phi^(-1)(1 - alpha/2) and half-widths z * se / sqrt(nh);
+    zero-variance windows yield zero-width intervals and set the
+    degeneracy flag instead of failing.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    f_hat = density_point_estimate(sample, x, h, K)
-    bias_hat = density_bias_estimate(sample, x, h, b, K, L, kappa)
-    var_us = density_variance_us(sample, x, h, K)
-    var_rbc = density_variance_rbc(sample, x, h, b, K, L, kappa)
-    se_us = float(np.sqrt(var_us))
-    se_rbc = float(np.sqrt(var_rbc))
+    _check_bandwidth(h)
+    f_kappa = density_derivative_estimate(sample, x, b, L, kappa)
+    if sample.n < 2:
+        raise DegenerateSampleError("variance estimation requires n >= 2")
+    rho = 0.0 if np.isinf(b) else h / b
+    u = (x - sample.observations) / h
+    k_vals = K.eval_many(u)
+    f_hat = float(np.sum(k_vals) / (sample.n * h))
+    bias_hat = float(h**kappa * f_kappa * K.moment_mu(kappa))
+    m_vals = induced_kernel(K, L, kappa, rho).eval_many(u)
+    se_us = float(np.sqrt(_fixedn_variance(k_vals, h)))
+    se_rbc = float(np.sqrt(_fixedn_variance(m_vals, h)))
     intervals = interval_triple(f_hat, bias_hat, se_us, se_rbc, sample.n, h, alpha)
     return DensityInference(
         x=x,
         h=h,
         b=b,
-        rho=0.0 if np.isinf(b) else h / b,
+        rho=rho,
         kappa=kappa,
         f_hat=f_hat,
         bias_hat=bias_hat,

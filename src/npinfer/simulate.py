@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product, repeat
 from typing import Callable, Sequence
@@ -197,7 +197,8 @@ class McConfig:
 
     ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed"
     (requires ``fixed_h``).  ``boundary`` switches the local polynomial
-    selectors to the boundary rate.  An invalid setting raises
+    selectors to the boundary rate; ``x_law``, when set, is the (lo, hi)
+    support of the uniform regression design.  An invalid setting raises
     ``ConfigError`` here, before any replication runs.  The worker count
     is an argument of ``run_mc``; it never enters the report.
     """
@@ -265,29 +266,22 @@ class McConfig:
             raise ConfigError(f"unknown density model {self.model}")
         if self.estimator == "lpreg" and self.model not in REGRESSION_MODELS:
             raise ConfigError(f"unknown regression model {self.model}")
+        if self.x_law is not None:
+            try:
+                lo, hi = (float(v) for v in self.x_law)
+            except (TypeError, ValueError):
+                lo = hi = math.nan
+            if not -math.inf < lo < hi < math.inf:
+                raise ConfigError(
+                    f"x_law must be a pair lo,hi of finite numbers with lo < hi, got {self.x_law!r}"
+                )
+            object.__setattr__(self, "x_law", (lo, hi))
 
     def echo(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "model": self.model,
-            "n": self.n,
-            "replications": self.replications,
-            "evaluation_points": list(self.evaluation_points),
-            "alpha": self.alpha,
-            "p": self.p,
-            "q": self.q,
-            "rho": self.rho,
-            "kappa": self.kappa,
-            "kernel": self.kernel_name,
-            "bias_kernel": self.bias_kernel_name,
-            "vce": self.vce,
-            "nn_neighbors": self.nn_neighbors,
-            "bw_rule": self.bw_rule,
-            "fixed_h": self.fixed_h,
-            "boundary": self.boundary,
-            "x_law": list(self.x_law) if self.x_law else None,
-            "seed": self.seed,
-        }
+        echoed = asdict(self)
+        echoed["kernel"] = echoed.pop("kernel_name")
+        echoed["bias_kernel"] = echoed.pop("bias_kernel_name")
+        return echoed
 
 
 @dataclass(frozen=True, eq=False)

@@ -457,6 +457,10 @@ class TestSelect:
         with pytest.raises(ZeroCurvatureError, match="silverman"):
             select("silverman", DensitySample(np.ones(10)), 1.0, EPA)
 
+    def test_density_dpi_zero_sd_is_zero_curvature(self):
+        with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
+            select("dpi", DensitySample(np.ones(10)), 1.0, EPA, L=MSE2)
+
     def test_density_dpi_needs_bias_kernel(self):
         with pytest.raises(ValueError, match="bias kernel"):
             select("dpi", _density_sample(), 0.0, EPA)

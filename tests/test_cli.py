@@ -236,6 +236,20 @@ class TestRuleParity:
         assert code == 1
         assert _last_error(capsys)["error"] == "ZeroCurvatureError"
 
+    @pytest.mark.parametrize(
+        "command",
+        [["density", "infer", "--bw", "dpi"], ["bw", "--method", "dpi"]],
+        ids=["density-infer", "bw"],
+    )
+    def test_degenerate_dpi_is_zero_curvature(self, command, tmp_path, capsys):
+        path = tmp_path / "constant.csv"
+        path.write_text("x\n1.0\n1.0\n1.0\n1.0\n")
+        code = main(command + ["--data", str(path), "--x", "1"])
+        assert code == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ZeroCurvatureError"
+        assert "standard deviation is zero" in error["message"]
+
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
         assert code == 1
@@ -298,9 +312,13 @@ class TestSimCommand:
             (["sim", "sweep", "--h-grid", "nan:0.4:2", "--curves", "x.csv"], "ValueError", "< inf"),
             (["sim", "sweep", "--h-grid", "0.2:nan:2", "--curves", "x.csv"], "ValueError", "< inf"),
             (["sim", "lpreg", "--points", ""], "ConfigError", "evaluation_points must not be empty"),
+            (["sim", "sweep", "--h-grid", "0.2:0.4:2.5", "--curves", "x.csv"], "SchemaError",
+             "--h-grid expects lo:hi:count"),
+            (["sim", "lpreg", "--x-law", "1"], "ConfigError", "x_law must be a pair"),
+            (["sim", "lpreg", "--x-law", "0,0"], "ConfigError", "x_law must be a pair"),
         ],
         ids=["grid-without-curves", "sweep-without-grid", "inf-hi", "nan-lo", "nan-hi",
-             "empty-points"],
+             "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):

@@ -1,21 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from density_reference import reference_density_infer
 from npinfer import (
     DensitySample,
-    density_bias_estimate,
+    KernelSpec,
     density_derivative_estimate,
     density_infer,
     density_point_estimate,
-    density_variance_rbc,
-    density_variance_us,
     gj_density_estimate,
     gj_equivalent_kernel,
     induced_kernel,
     kernel,
+    kernel_names,
 )
 
 EPA = kernel("epanechnikov")
@@ -71,19 +75,19 @@ class TestBiasEstimate:
     def test_direct_substitution(self):
         # L = Epanechnikov as a level kernel: L'' is -3/2 on the support
         s = DensitySample(np.array([-0.5, 0.5]))
-        val = density_bias_estimate(s, 0.0, 1.0, 1.0, EPA, EPA, 2)
+        val = density_infer(s, 0.0, 1.0, 1.0, EPA, EPA, 2).bias_hat
         assert val == pytest.approx(0.1 * (-1.5), abs=1e-15)
 
     def test_empty_window(self):
         s = DensitySample(np.array([5.0, -7.0]))
-        assert density_bias_estimate(s, 0.0, 1.0, 1.0, EPA, MSE2, 2) == 0.0
+        assert density_infer(s, 0.0, 1.0, 1.0, EPA, MSE2, 2).bias_hat == 0.0
 
     def test_scaling_halves_bias(self):
         # doubling data, x, h, b multiplies the bias estimate by 2^kappa * 2^(-1-kappa) = 1/2
         rng = np.random.default_rng(11)
         x = rng.normal(size=60)
-        b1 = density_bias_estimate(DensitySample(x), 0.2, 0.8, 0.8, EPA, MSE2, 2)
-        b2 = density_bias_estimate(DensitySample(2 * x), 0.4, 1.6, 1.6, EPA, MSE2, 2)
+        b1 = density_infer(DensitySample(x), 0.2, 0.8, 0.8, EPA, MSE2, 2).bias_hat
+        b2 = density_infer(DensitySample(2 * x), 0.4, 1.6, 1.6, EPA, MSE2, 2).bias_hat
         assert b2 == pytest.approx(0.5 * b1, rel=1e-12)
 
     def test_bias_constant_sign_quadrature_oracle(self):
@@ -99,25 +103,24 @@ class TestBiasEstimate:
 class TestVariance:
     def test_all_outside_window(self):
         s = DensitySample(np.array([5.0, 9.0]))
-        assert density_variance_us(s, 0.0, 1.0, EPA) == 0.0
+        assert density_infer(s, 0.0, 1.0, 1.0, EPA, MSE2, 2).se_us == 0.0
 
     def test_symmetric_pair_zero_variance(self):
         s = DensitySample(np.array([-0.5, 0.5]))
-        assert density_variance_us(s, 0.0, 1.0, EPA) == 0.0
+        assert density_infer(s, 0.0, 1.0, 1.0, EPA, MSE2, 2).se_us == 0.0
 
     def test_rbc_with_rho_zero_equals_us(self):
         rng = np.random.default_rng(3)
         s = DensitySample(rng.normal(size=100))
-        us = density_variance_us(s, 0.0, 0.5, EPA)
-        rbc = density_variance_rbc(s, 0.0, 0.5, np.inf, EPA, MSE2, 2)
-        assert rbc == us
+        res = density_infer(s, 0.0, 0.5, np.inf, EPA, MSE2, 2)
+        assert res.se_rbc == res.se_us
 
     def test_rejects_single_observation(self):
         from npinfer import DegenerateSampleError
 
         s = DensitySample(np.array([0.0]))
         with pytest.raises(DegenerateSampleError):
-            density_variance_us(s, 0.0, 1.0, EPA)
+            density_infer(s, 0.0, 1.0, 1.0, EPA, MSE2, 2)
 
     def test_population_variance_oracle(self):
         # nh Var(f_hat(0)) over 5000 replications of n = 500 standard
@@ -218,6 +221,50 @@ class TestInfer:
         vals = np.array([density_point_estimate(s, g, h, EPA) for g in grid])
         integral = np.trapezoid(vals, grid)
         assert 0.99 <= integral <= 1.01
+
+
+class TestOnePass:
+    """density_infer against the helper chain it replaced (tests/density_reference.py)."""
+
+    @given(
+        values=st.lists(
+            # quarter-grid values tie with each other and with kernel edges
+            st.one_of(st.integers(-12, 12).map(lambda k: k / 4), st.floats(-3.0, 3.0)),
+            min_size=2,
+            max_size=60,
+        ),
+        x=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-6.0, 6.0)),
+        h=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 2.0)),
+        b=st.one_of(st.just(math.inf), st.sampled_from([0.25, 1.0]), st.floats(0.05, 3.0)),
+        K=st.sampled_from([k for k in kernel_names() if kernel(k).derivative_target == 0]),
+        L=st.sampled_from(["mseopt-deriv2", "minvar-deriv2", "epanechnikov"]),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+    )
+    def test_matches_helper_chain_bit_for_bit(self, values, x, h, b, K, L, alpha):
+        s = DensitySample(np.array(values))
+        args = (s, x, h, b, kernel(K), kernel(L), 2, alpha)
+        got, want = density_infer(*args), reference_density_infer(*args)
+        fields = ("f_hat", "bias_hat", "se_us", "se_rbc")
+        assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+        bounds = [(ci.lower.hex(), ci.upper.hex()) for ci in got.intervals]
+        assert bounds == [(ci.lower.hex(), ci.upper.hex()) for ci in want.intervals]
+        assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("b,calls", [(0.7, 3), (math.inf, 2)])
+    def test_each_kernel_evaluated_once(self, b, calls, monkeypatch):
+        # K serves f_hat and sigma_US, L^(kappa) the bias, M sigma_RBC;
+        # b = +inf drops the bias term and with it L^(kappa)
+        evaluated = []
+        real = KernelSpec.eval_many
+
+        def counting(self, u):
+            evaluated.append(self.name)
+            return real(self, u)
+
+        monkeypatch.setattr(KernelSpec, "eval_many", counting)
+        s = DensitySample(np.random.default_rng(8).normal(size=200))
+        density_infer(s, 0.1, 0.5, b, EPA, MSE2, 2, 0.05)
+        assert len(evaluated) == calls
 
 
 class TestGeneralizedJackknife:

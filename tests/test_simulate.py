@@ -338,6 +338,25 @@ class TestConfigErrors:
         )
         assert cfg.q == cfg.p
 
+    @pytest.mark.parametrize(
+        "x_law",
+        [(1.0,), (0.0, 0.0), (1.0, -1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, 1.0),
+         1.0, ("a", "b")],
+    )
+    def test_malformed_x_law(self, x_law, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "_one_replication", must_not_run)
+        with pytest.raises(ConfigError, match="x_law"):
+            run_mc(_lpreg_config(x_law=x_law), workers=1)
+
+    def test_echo_names_kernels_and_lists_x_law(self):
+        echoed = json.loads(json.dumps(_lpreg_config(x_law=[0, 1]).echo()))
+        assert echoed["kernel"] == "epanechnikov" and echoed["bias_kernel"] is None
+        assert echoed["x_law"] == [0.0, 1.0]
+        assert "kernel_name" not in echoed and "bias_kernel_name" not in echoed
+
     def test_valid_config_accepted(self):
         cfg = _lpreg_config(bw_rule="fixed", fixed_h=0.4, alpha=0.1, n=2)
         assert cfg.evaluation_points == (0.0,)
