@@ -42,12 +42,10 @@ from .locpoly import (
     LocPolyInference,
     RegressionSample,
     VarianceMethod,
-    lp_bias_estimate,
     lp_fit,
     lp_infer,
     lp_residual_weights,
-    lp_variance_rbc,
-    lp_variance_us,
+    lp_variance,
 )
 from .bandwidth import (
     RULES,

@@ -702,11 +702,14 @@ def dpi_bandwidth_lp(
     polynomials and bias constants from the pilot fits; (5) minimize the
     squared objective and rescale by n^(-1/(p+4)) (interior) or
     n^(-1/(p+3)) (boundary).  Falls back to the rule-of-thumb rescaling
-    (flagged) when a pilot degenerates or the objective is monotone.
+    (flagged) when a pilot degenerates or the objective is monotone; a
+    zero covariate sd raises ZeroCurvatureError.
     """
     n = sample.n
     q = p + 1
     sigma_x = float(np.std(sample.x_values, ddof=1))
+    if sigma_x <= 0:
+        raise ZeroCurvatureError("sample standard deviation is zero")
     diag: dict = {"boundary": boundary_flag}
 
     def _scale_fallback(reason: str) -> BandwidthChoice:

@@ -32,10 +32,8 @@ __all__ = [
     "LocPolyInference",
     "VarianceMethod",
     "lp_fit",
-    "lp_bias_estimate",
     "lp_residual_weights",
-    "lp_variance_us",
-    "lp_variance_rbc",
+    "lp_variance",
     "lp_infer",
 ]
 
@@ -145,8 +143,8 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     X, Y = sample.x_values, sample.y_values
     u = (X - x) / h
     kvals = K.eval_many(u)
-    simple_support = K.support[1]
-    inside = np.abs(u) <= simple_support
+    lo, hi = K.support
+    inside = (u >= lo) & (u <= hi)
     eff_n = int(np.count_nonzero(inside))
     if np.unique(X[inside]).size < p + 1:
         raise SingularDesignError(
@@ -197,49 +195,17 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
 
 
 def _bias_parts(fit_p: LocPolyFit, fit_q: LocPolyFit):
-    """(c, s) with bias_hat = rho^(p+1) * c * (s @ Y).
+    """(c, s) with bias_hat = rho^(p+1) * c * (s @ Y), for a q-fit of degree q > p.
 
     c = e_0' G_p^-1 Lambda_p, and s holds the linear weights of
     e_{p+1}' G_q^-1 R_q' W_q Y / n from the degree-q fit.
     """
     p = fit_p.p
-    if fit_q.p <= p:
-        raise ValueError("bias fit must have degree q > p")
     c = float(fit_p.g_inv[0] @ fit_p.Lambda1)
     m = fit_q.in_window
     s = np.zeros_like(fit_q.u)
     s[m] = (fit_q.basis[m] @ fit_q.g_inv[p + 1]) * fit_q.kvals[m] / (fit_q.u.size * fit_q.h)
     return c, s
-
-
-def _rbc_weights(fit_p: LocPolyFit, fit_q: LocPolyFit, rho: float) -> np.ndarray:
-    """Linear weights of the bias-corrected estimate m_hat - bias_hat."""
-    c, s = _bias_parts(fit_p, fit_q)
-    return fit_p.weights - rho ** (fit_p.p + 1) * c * s
-
-
-def lp_bias_estimate(
-    sample: RegressionSample,
-    x: float,
-    p: int,
-    q: int,
-    h: float,
-    b: float,
-    K: KernelSpec,
-    L: KernelSpec,
-) -> float:
-    """Plug-in conditional-bias estimate h^(p+1) m^(p+1)(x) e0' G_p^-1 Lambda_p / (p+1)!."""
-    if q <= p:
-        raise ValueError("q must exceed p")
-    fit_p = lp_fit(sample, x, p, h, K)
-    fit_q = lp_fit(sample, x, q, b, L)
-    return _bias_from_fits(fit_p, fit_q, sample)
-
-
-def _bias_from_fits(fit_p: LocPolyFit, fit_q: LocPolyFit, sample: RegressionSample) -> float:
-    rho = fit_p.h / fit_q.h
-    c, s = _bias_parts(fit_p, fit_q)
-    return rho ** (fit_p.p + 1) * c * float(s @ sample.y_values)
 
 
 def lp_residual_weights(
@@ -302,24 +268,19 @@ def lp_residual_weights(
     return v
 
 
-def lp_variance_us(fit_p: LocPolyFit, v_hats: np.ndarray) -> float:
-    """Fixed-n sandwich (nh) V[m_hat | X] with Sigma replaced by diag(v_hats)."""
-    n = fit_p.u.size
-    return float(n * fit_p.h * np.sum(fit_p.weights**2 * v_hats))
-
-
-def lp_variance_rbc(
-    fit_p: LocPolyFit, fit_q: LocPolyFit, rho: float, v_hats: np.ndarray
-) -> float:
-    """Fixed-n sandwich (nh) V[m_hat - bias_hat | X] with diag(v_hats)."""
-    n = fit_p.u.size
-    w = _rbc_weights(fit_p, fit_q, rho)
-    return float(n * fit_p.h * np.sum(w**2 * v_hats))
+def lp_variance(weights: np.ndarray, v_hats: np.ndarray, h: float) -> float:
+    """Fixed-n sandwich (nh) V[weights @ Y | X] with Sigma replaced by diag(v_hats)."""
+    return float(weights.size * h * np.sum(weights**2 * v_hats))
 
 
 @dataclass(frozen=True, eq=False)
 class LocPolyInference:
-    """Point estimates, bias correction, and the three intervals at x."""
+    """Point estimates, bias correction, and the three intervals at x.
+
+    ``weights_rbc`` are the linear coefficients of the bias-corrected
+    estimate (m_hat - bias_hat = weights_rbc @ Y) that Studentize the RBC
+    interval.
+    """
 
     fit_p: LocPolyFit
     fit_q: LocPolyFit
@@ -328,6 +289,7 @@ class LocPolyInference:
     bias_hat: float
     se_us: float
     se_rbc: float
+    weights_rbc: np.ndarray
     intervals: tuple
     boundary_flag: bool
     degenerate: bool
@@ -366,12 +328,12 @@ class LocPolyInference:
 def lp_infer(
     sample: RegressionSample,
     x: float,
-    p: int = 1,
-    q: int = 2,
-    h: float = None,
-    b: float = None,
-    K: KernelSpec = None,
-    L: KernelSpec = None,
+    p: int,
+    q: int,
+    h: float,
+    b: float,
+    K: KernelSpec,
+    L: KernelSpec,
     alpha: float = 0.05,
     method: VarianceMethod = VarianceMethod("hc3"),
 ) -> LocPolyInference:
@@ -385,17 +347,23 @@ def lp_infer(
         raise ValueError("q must exceed p")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if K is None or L is None or h is None or b is None:
-        raise ValueError("h, b, K, and L are all required")
     fit_p = lp_fit(sample, x, p, h, K)
     fit_q = lp_fit(sample, x, q, b, L)
     rho = h / b
 
-    bias_hat = _bias_from_fits(fit_p, fit_q, sample)
-    v_p = lp_residual_weights(fit_p, method, sample)
+    c, s = _bias_parts(fit_p, fit_q)
+    k = rho ** (p + 1) * c
+    bias_hat = k * float(s @ sample.y_values)
+    weights_rbc = fit_p.weights - k * s
     v_q = lp_residual_weights(fit_q, method, sample)
-    var_us = lp_variance_us(fit_p, v_p)
-    var_rbc = lp_variance_rbc(fit_p, fit_q, rho, v_q)
+    # NN estimates depend on the fit only through its window, and the
+    # p-weights vanish outside the p-window
+    if method.kind == "nn" and not np.any(fit_p.in_window & ~fit_q.in_window):
+        v_p = v_q
+    else:
+        v_p = lp_residual_weights(fit_p, method, sample)
+    var_us = lp_variance(fit_p.weights, v_p, fit_p.h)
+    var_rbc = lp_variance(weights_rbc, v_q, fit_p.h)
     # residuals from an exactly reproduced polynomial are pure roundoff;
     # snap the resulting variances to zero so such fits report as degenerate
     y_scale = max(1.0, float(np.max(np.abs(sample.y_values[fit_p.in_window]), initial=0.0)))
@@ -408,8 +376,8 @@ def lp_infer(
     se_rbc = math.sqrt(var_rbc)
     m_hat = fit_p.m_hat
     intervals = interval_triple(m_hat, bias_hat, se_us, se_rbc, sample.n, h, alpha)
-    span = K.support[1]
-    boundary = (x - span * h < sample.x_values[0]) or (x + span * h > sample.x_values[-1])
+    lo, hi = K.support
+    boundary = (x + lo * h < sample.x_values[0]) or (x + hi * h > sample.x_values[-1])
     return LocPolyInference(
         fit_p=fit_p,
         fit_q=fit_q,
@@ -418,6 +386,7 @@ def lp_infer(
         bias_hat=bias_hat,
         se_us=se_us,
         se_rbc=se_rbc,
+        weights_rbc=weights_rbc,
         intervals=intervals,
         boundary_flag=boundary,
         degenerate=(se_us == 0.0 or se_rbc == 0.0),

@@ -413,16 +413,14 @@ def _quartile_stats(values: np.ndarray) -> dict:
     }
 
 
-def run_mc(config: McConfig, workers: int = 1, _replication=None) -> McReport:
+def run_mc(config: McConfig, workers: int = 1) -> McReport:
     """Run the Monte Carlo experiment and aggregate a coverage report.
 
     Replication failures (singular designs, undefined bandwidths) are
     tallied per evaluation point and excluded from coverage denominators;
-    they never abort the run.  ``_replication`` is a test hook replacing
-    the built-in estimator path (single-worker only).
+    they never abort the run.
     """
-    workers = 1 if _replication is not None else workers
-    records = _run_replications(config, _replication or _one_replication, workers)
+    records = _run_replications(config, _one_replication, workers)
     return _aggregate(config, records, _truths(config))
 
 

@@ -27,12 +27,10 @@ from npinfer.bandwidth import (
 from npinfer.locpoly import (
     RegressionSample,
     VarianceMethod,
-    lp_bias_estimate,
     lp_fit,
     lp_infer,
     lp_residual_weights,
-    lp_variance_rbc,
-    lp_variance_us,
+    lp_variance,
 )
 from npinfer.simulate import McConfig, replication_rng, run_mc
 
@@ -119,16 +117,15 @@ def test_criterion_4_remark7_collapse(capsys):
         y = np.sin(3 * x) + rng.standard_normal(n)
         s = RegressionSample(x, y)
         p, h = 1, rng.uniform(0.35, 0.8)
-        fit_p = lp_fit(s, x0, p, h, EPA)
-        fit_q = lp_fit(s, x0, p + 1, h, EPA)
-        bias = lp_bias_estimate(s, x0, p, p + 1, h, h, EPA, EPA)
-        rbc_point = fit_p.m_hat - bias
+        res = lp_infer(s, x0, p, p + 1, h, h, EPA, EPA, 0.05, HC3)
+        fit_q = res.fit_q
+        rbc_point = res.m_hat - res.bias_hat
         worst_point = max(
             worst_point, abs(rbc_point - fit_q.m_hat) / max(1e-12, abs(fit_q.m_hat))
         )
         v_q = lp_residual_weights(fit_q, HC3, s)
-        var_rbc = lp_variance_rbc(fit_p, fit_q, 1.0, v_q)
-        var_q = lp_variance_us(fit_q, v_q)
+        var_rbc = lp_variance(res.weights_rbc, v_q, h)
+        var_q = lp_variance(fit_q.weights, v_q, h)
         worst_var = max(worst_var, abs(var_rbc - var_q) / max(1e-12, var_q))
     ok = worst_point < 1e-10 and worst_var < 1e-10
     report(
@@ -212,17 +209,14 @@ def test_criterion_7_variance_oracle(capsys):
     sd = 0.6 + 0.8 * np.abs(X)  # true heteroskedastic Sigma
     h, b, x0, p = 0.4, 0.4, 0.1, 1
     base = RegressionSample(X, np.zeros_like(X))
-    fit_p = lp_fit(base, x0, p, h, EPA)
-    fit_q = lp_fit(base, x0, p + 1, b, EPA)
-    from npinfer.locpoly import _rbc_weights
-
-    w_us = fit_p.weights
-    w_rbc = _rbc_weights(fit_p, fit_q, h / b)
+    res = lp_infer(base, x0, p, p + 1, h, b, EPA, EPA, 0.05, HC3)
+    w_us = res.fit_p.weights
+    w_rbc = res.weights_rbc
     draws = rng.standard_normal((redraws, n)) * sd
     mc_us = n * h * np.var(draws @ w_us, ddof=1)
     mc_rbc = n * h * np.var(draws @ w_rbc, ddof=1)
-    pop_us = lp_variance_us(fit_p, sd**2)
-    pop_rbc = lp_variance_rbc(fit_p, fit_q, h / b, sd**2)
+    pop_us = lp_variance(w_us, sd**2, h)
+    pop_rbc = lp_variance(w_rbc, sd**2, h)
     rel_us = abs(mc_us - pop_us) / pop_us
     rel_rbc = abs(mc_rbc - pop_rbc) / pop_rbc
     report(
@@ -245,7 +239,7 @@ def test_criterion_8_exactness_battery(capsys):
     fit = lp_fit(s, 0.2, 1, 0.5, EPA)
     checks.append(abs(fit.m_hat - 1.4) < 1e-10)
     checks.append(float(np.max(np.abs(fit.residuals))) < 1e-10)
-    checks.append(abs(lp_bias_estimate(s, 0.2, 1, 2, 0.5, 0.5, EPA, EPA)) < 1e-10)
+    checks.append(abs(lp_infer(s, 0.2, 1, 2, 0.5, 0.5, EPA, EPA, 0.05, HC3).bias_hat) < 1e-10)
 
     # moments against a 64-node Gauss-Legendre oracle
     glx, glw = np.polynomial.legendre.leggauss(64)

@@ -461,6 +461,12 @@ class TestSelect:
         with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
             select("dpi", DensitySample(np.ones(10)), 1.0, EPA, L=MSE2)
 
+    def test_lpreg_dpi_zero_sd_is_zero_curvature(self):
+        # the scale fallback would return 2.34 * sd * n^rate = 0
+        sample = RegressionSample(np.ones(50), np.arange(50.0))
+        with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
+            select("dpi", sample, 1.0, EPA)
+
     def test_density_dpi_needs_bias_kernel(self):
         with pytest.raises(ValueError, match="bias kernel"):
             select("dpi", _density_sample(), 0.0, EPA)

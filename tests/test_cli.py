@@ -237,13 +237,21 @@ class TestRuleParity:
         assert _last_error(capsys)["error"] == "ZeroCurvatureError"
 
     @pytest.mark.parametrize(
-        "command",
-        [["density", "infer", "--bw", "dpi"], ["bw", "--method", "dpi"]],
-        ids=["density-infer", "bw"],
+        "command,rows",
+        [
+            (["density", "infer", "--bw", "dpi"], ["x"] + ["1.0"] * 4),
+            (["bw", "--method", "dpi"], ["x"] + ["1.0"] * 4),
+            (["lpreg", "infer", "--h", "auto"], ["x,y"] + [f"1.0,{i}.0" for i in range(50)]),
+            (
+                ["bw", "--estimator", "lpreg", "--method", "dpi"],
+                ["x,y"] + [f"1.0,{i}.0" for i in range(50)],
+            ),
+        ],
+        ids=["density-infer", "bw", "lpreg-infer", "lpreg-bw"],
     )
-    def test_degenerate_dpi_is_zero_curvature(self, command, tmp_path, capsys):
+    def test_degenerate_dpi_is_zero_curvature(self, command, rows, tmp_path, capsys):
         path = tmp_path / "constant.csv"
-        path.write_text("x\n1.0\n1.0\n1.0\n1.0\n")
+        path.write_text("\n".join(rows) + "\n")
         code = main(command + ["--data", str(path), "--x", "1"])
         assert code == 1
         error = _last_error(capsys)

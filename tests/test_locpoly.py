@@ -1,24 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from npinfer import kernel
-from npinfer.errors import LeverageOneError, SingularDesignError
+from locpoly_reference import reference_lp_infer
+from npinfer import KernelSpec, kernel, locpoly
+from npinfer.errors import LeverageOneError, NpinferError, SingularDesignError
 from npinfer.locpoly import (
     LocPolyFit,
     RegressionSample,
     VarianceMethod,
-    lp_bias_estimate,
     lp_fit,
     lp_infer,
     lp_residual_weights,
-    lp_variance_rbc,
-    lp_variance_us,
+    lp_variance,
 )
 
 EPA = kernel("epanechnikov")
 HC3 = VarianceMethod("hc3")
 HC0 = VarianceMethod("hc0")
+# K(u) = 2(1 - u) on [0, 1]: a one-sided kernel that looks right of x only
+RIGHT = KernelSpec("right-sided", ((Fraction(0), Fraction(1), (Fraction(2), Fraction(-2))),), 1)
 
 
 def normal_equations_oracle(sample, x, p, h, K):
@@ -89,6 +94,13 @@ class TestFit:
         fit = lp_fit(s, 0.0, 1, 1.0, EPA)
         assert fit.effective_n == 3
 
+    def test_one_sided_kernel_window(self):
+        # only 0 <= (X - x)/h <= 1 is in the window: X in [0, 0.5]
+        x = np.arange(-16, 17) / 16
+        fit = lp_fit(RegressionSample(x, x**2), 0.0, 1, 0.5, RIGHT)
+        assert fit.effective_n == 9
+        assert np.array_equal(fit.in_window, (x >= 0.0) & (x <= 0.5))
+
     def test_g_is_spd(self):
         rng = np.random.default_rng(4)
         s = make_sample(rng, n=60, fn=np.cos)
@@ -102,7 +114,7 @@ class TestBias:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, 50)
         s = RegressionSample(x, 2 * x + 1)
-        val = lp_bias_estimate(s, 0.1, 1, 2, 0.5, 0.5, EPA, EPA)
+        val = lp_infer(s, 0.1, 1, 2, 0.5, 0.5, EPA, EPA, 0.05, HC0).bias_hat
         assert abs(val) < 1e-12
 
     def test_quadratic_truth_fully_corrected(self):
@@ -110,9 +122,8 @@ class TestBias:
         x = rng.uniform(-1, 1, 60)
         s = RegressionSample(x, x**2)
         for x0 in [-0.3, 0.0, 0.4]:
-            fit = lp_fit(s, x0, 1, 0.5, EPA)
-            bias = lp_bias_estimate(s, x0, 1, 2, 0.5, 0.5, EPA, EPA)
-            assert fit.m_hat - bias == pytest.approx(x0**2, abs=1e-12)
+            res = lp_infer(s, x0, 1, 2, 0.5, 0.5, EPA, EPA, 0.05, HC0)
+            assert res.m_hat - res.bias_hat == pytest.approx(x0**2, abs=1e-12)
 
     def test_remark7_point_estimate_collapse(self):
         # q = p+1, K = L, rho = 1: the corrected estimate is the degree-q fit
@@ -121,10 +132,10 @@ class TestBias:
             s = make_sample(rng, n=80, fn=lambda t: np.sin(3 * t), noise=1.0)
             x0 = rng.uniform(-0.9, 0.9)
             h = rng.uniform(0.3, 0.8)
-            fit_p = lp_fit(s, x0, 1, h, EPA)
-            fit_q = lp_fit(s, x0, 2, h, EPA)
-            bias = lp_bias_estimate(s, x0, 1, 2, h, h, EPA, EPA)
-            assert fit_p.m_hat - bias == pytest.approx(fit_q.m_hat, rel=1e-10, abs=1e-12)
+            res = lp_infer(s, x0, 1, 2, h, h, EPA, EPA, 0.05, HC0)
+            assert res.m_hat - res.bias_hat == pytest.approx(
+                res.fit_q.m_hat, rel=1e-10, abs=1e-12
+            )
 
 
 class TestResidualWeights:
@@ -182,15 +193,20 @@ class TestVariances:
         rng = np.random.default_rng(11)
         s = make_sample(rng, n=40, fn=np.sin)
         fit = lp_fit(s, 0.0, 1, 0.5, EPA)
-        assert lp_variance_us(fit, np.zeros(s.n)) == 0.0
+        assert lp_variance(fit.weights, np.zeros(s.n), fit.h) == 0.0
 
     def test_rbc_with_rho_zero_equals_us(self):
+        # lp_infer takes a finite b, so rho > 0; the bias factor rho^(p+1) c
+        # vanishes instead through c = 0: a local constant on a design that is
+        # exactly symmetric about x.  The RBC weights are then the US weights,
+        # and with NN residuals on a shared window the two sandwiches agree.
         rng = np.random.default_rng(12)
-        s = make_sample(rng, n=50, fn=np.sin)
-        fit_p = lp_fit(s, 0.0, 1, 0.5, EPA)
-        fit_q = lp_fit(s, 0.0, 2, 0.7, EPA)
-        v = lp_residual_weights(fit_p, HC0, s)
-        assert lp_variance_rbc(fit_p, fit_q, 0.0, v) == lp_variance_us(fit_p, v)
+        half = np.arange(1, 9) / 8
+        s = RegressionSample(np.concatenate([-half, half]), rng.standard_normal(16))
+        res = lp_infer(s, 0.0, 0, 1, 1.0, 1.0, EPA, EPA, 0.05, VarianceMethod("nn", 2))
+        assert res.bias_hat == 0.0
+        assert np.array_equal(res.weights_rbc, res.fit_p.weights)
+        assert res.se_rbc == res.se_us > 0
 
     def test_conditional_mc_oracle_us(self):
         # fixed design, heteroskedastic truth, 10000 epsilon redraws
@@ -203,7 +219,7 @@ class TestVariances:
         draws = rng.standard_normal((10000, X.size)) * sd
         m_hats = draws @ fit.weights
         mc = X.size * h * np.var(m_hats, ddof=1)
-        pop = lp_variance_us(fit, sd**2)
+        pop = lp_variance(fit.weights, sd**2, h)
         assert mc == pytest.approx(pop, rel=0.05)
 
     def test_conditional_mc_oracle_rbc_general_rho(self):
@@ -212,26 +228,21 @@ class TestVariances:
         X = np.sort(rng.uniform(-1, 1, 100))
         h, b, x0 = 0.4, 0.65, 0.1
         base = RegressionSample(X, np.zeros_like(X))
-        fit_p = lp_fit(base, x0, 1, h, EPA)
-        fit_q = lp_fit(base, x0, 2, b, EPA)
-        from npinfer.locpoly import _rbc_weights
-
-        w = _rbc_weights(fit_p, fit_q, h / b)
+        w = lp_infer(base, x0, 1, 2, h, b, EPA, EPA, 0.05, HC0).weights_rbc
         draws = rng.standard_normal((20000, X.size))
         stats = draws @ w
         mc = X.size * h * np.var(stats, ddof=1)
-        pop = lp_variance_rbc(fit_p, fit_q, h / b, np.ones(X.size))
+        pop = lp_variance(w, np.ones(X.size), h)
         assert mc == pytest.approx(pop, rel=0.04)
 
     def test_remark7_variance_collapse(self):
         rng = np.random.default_rng(15)
         s = make_sample(rng, n=90, fn=lambda t: np.exp(t), noise=0.5)
         h = 0.5
-        fit_p = lp_fit(s, 0.0, 1, h, EPA)
-        fit_q = lp_fit(s, 0.0, 2, h, EPA)
-        v_q = lp_residual_weights(fit_q, HC3, s)
-        rbc = lp_variance_rbc(fit_p, fit_q, 1.0, v_q)
-        us_q = lp_variance_us(fit_q, v_q)
+        res = lp_infer(s, 0.0, 1, 2, h, h, EPA, EPA, 0.05, HC3)
+        v_q = lp_residual_weights(res.fit_q, HC3, s)
+        rbc = lp_variance(res.weights_rbc, v_q, h)
+        us_q = lp_variance(res.fit_q.weights, v_q, h)
         assert rbc == pytest.approx(us_q, rel=1e-10)
 
 
@@ -254,6 +265,14 @@ class TestInfer:
         assert res.boundary_flag
         assert res.m_hat == pytest.approx(1.0, rel=1e-10)
         assert res.m_hat - res.bias_hat == pytest.approx(1.0, rel=1e-10)
+
+    def test_boundary_flag_follows_the_support(self):
+        # the window [x, x + h] = [-0.8, -0.3] lies inside the data, though
+        # [x - h, x + h] would not
+        x = np.arange(-16, 17) / 16
+        s = RegressionSample(x, np.sin(3 * x) + np.random.default_rng(23).standard_normal(33))
+        assert not lp_infer(s, -0.8, 1, 2, 0.5, 0.5, RIGHT, RIGHT, 0.05, HC0).boundary_flag
+        assert lp_infer(s, 0.7, 1, 2, 0.5, 0.5, RIGHT, RIGHT, 0.05, HC0).boundary_flag
 
     def test_interval_structure(self):
         rng = np.random.default_rng(18)
@@ -309,6 +328,74 @@ class TestInfer:
             lp_infer(s, 0.0, 2, 2, 0.5, 0.5, EPA, EPA, 0.05, HC3)
         with pytest.raises(ValueError):
             lp_infer(s, 0.0, 1, 2, 0.5, 0.5, EPA, EPA, 1.2, HC3)
+
+
+def _outcome(infer, *args):
+    try:
+        return infer(*args)
+    except NpinferError as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePass:
+    """lp_infer against the helper chain it replaced (tests/locpoly_reference.py)."""
+
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(
+            st.tuples(
+                # grid covariates tie with each other and with window edges
+                st.one_of(st.integers(-40, 40).map(lambda k: k / 20), st.floats(-2.0, 2.0)),
+                st.floats(-5.0, 5.0),
+            ),
+            min_size=12,
+            max_size=50,
+        ),
+        x=st.one_of(st.sampled_from([-2.0, 0.0, 2.0]), st.floats(-2.5, 2.5)),
+        h=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 4.0)),
+        rho=st.one_of(st.sampled_from([0.5, 1.0, 1.3, 2.0]), st.floats(0.3, 3.0)),
+        p=st.integers(0, 2),
+        extra=st.integers(1, 2),
+        # the nonnegative built-ins: a fourth-order kernel makes G indefinite
+        K=st.sampled_from(["epanechnikov", "triangular", "uniform"]),
+        L=st.sampled_from(["epanechnikov", "triangular", "uniform"]),
+        # NN weights are shared between the fits when the windows nest: draw it often
+        kind=st.one_of(st.just("nn"), st.sampled_from(VarianceMethod.KINDS)),
+        J=st.integers(1, 3),
+        alpha=st.sampled_from([0.01, 0.05, 0.1]),
+    )
+    def test_matches_helper_chain_bit_for_bit(
+        self, points, x, h, rho, p, extra, K, L, kind, J, alpha
+    ):
+        s = RegressionSample(*np.array(points).T)
+        method = VarianceMethod(kind, J)
+        args = (s, x, p, p + extra, h, h / rho, kernel(K), kernel(L), alpha, method)
+        got, want = _outcome(lp_infer, *args), _outcome(reference_lp_infer, *args)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        fields = ("m_hat", "bias_hat", "se_us", "se_rbc")
+        assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+        bounds = [(ci.lower.hex(), ci.upper.hex()) for ci in got.intervals]
+        assert bounds == [(ci.lower.hex(), ci.upper.hex()) for ci in want.intervals]
+        assert [w.hex() for w in got.weights_rbc] == [w.hex() for w in want.weights_rbc]
+        assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("rho,calls", [(1.0, 1), (2.0, 2)])
+    def test_nn_weights_once_on_a_shared_window(self, rho, calls, monkeypatch):
+        # at rho = 1 with K = L the p- and q-windows coincide and one NN pass
+        # serves both sandwiches; at rho = 2 the p-window is the wider one
+        kinds = []
+        real = locpoly.lp_residual_weights
+
+        def counting(fit, method, sample):
+            kinds.append(method.kind)
+            return real(fit, method, sample)
+
+        monkeypatch.setattr(locpoly, "lp_residual_weights", counting)
+        s = make_sample(np.random.default_rng(24), n=200, fn=np.sin)
+        lp_infer(s, 0.0, 1, 2, 0.4, 0.4 / rho, EPA, EPA, 0.05, VarianceMethod("nn", 3))
+        assert kinds == ["nn"] * calls
 
 
 def test_variance_method_parsing():

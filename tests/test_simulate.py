@@ -110,7 +110,7 @@ class TestDeterminism:
 
 
 class TestEngine:
-    def test_full_line_oracle_covers_everything(self):
+    def test_full_line_oracle_covers_everything(self, monkeypatch):
         cfg = McConfig(
             estimator="lpreg",
             model=5,
@@ -126,7 +126,8 @@ class TestEngine:
             ivals = tuple((0.0, math.inf) for _ in range(3))
             return [(0, 0.4, ivals) for _ in config.evaluation_points]
 
-        report = run_mc(cfg, _replication=whole_line)
+        monkeypatch.setattr(simulate, "_one_replication", whole_line)
+        report = run_mc(cfg)
         assert report.coverage["US"] == [1.0]
         assert report.coverage["RBC"] == [1.0]
 
@@ -151,7 +152,7 @@ class TestEngine:
             assert report.mean_length[m] == [0.0]
             assert report.degenerate[m] == [10]
 
-    def test_nominal_oracle_self_test(self):
+    def test_nominal_oracle_self_test(self, monkeypatch):
         # an interval built from the true sampling distribution of a
         # Normal pivot must cover at the nominal rate up to MC noise
         alpha, reps = 0.10, 4000
@@ -176,11 +177,12 @@ class TestEngine:
             ivals = tuple((center, z * sd) for _ in range(3))
             return [(0, 0.5, ivals)]
 
-        report = run_mc(cfg, _replication=oracle)
+        monkeypatch.setattr(simulate, "_one_replication", oracle)
+        report = run_mc(cfg)
         mc_se = math.sqrt(alpha * (1 - alpha) / reps)
         assert abs(report.coverage["US"][0] - (1 - alpha)) <= 3 * mc_se
 
-    def test_failures_excluded_from_denominator(self):
+    def test_failures_excluded_from_denominator(self, monkeypatch):
         cfg = McConfig(
             estimator="lpreg",
             model=5,
@@ -197,7 +199,8 @@ class TestEngine:
                 return [(1, 0.4, None)]  # singular
             return [(0, 0.4, tuple((0.0, math.inf) for _ in range(3)))]
 
-        report = run_mc(cfg, _replication=flaky)
+        monkeypatch.setattr(simulate, "_one_replication", flaky)
+        report = run_mc(cfg)
         assert report.singular_failures == (5,)
         assert report.used_replications == (5,)
         assert report.coverage["US"] == [1.0]
