@@ -69,7 +69,7 @@ class CoveragePolys:
     alpha: float
 
 
-def coverage_polys_at(N: KernelSpec, z: float, trunc: TruncatedSupport | None = None):
+def coverage_polys_at(N: KernelSpec, z: float):
     """Evaluate (q1, q2, q3) for kernel N at an arbitrary quantile z.
 
     q1 = t2^-2 t4 (z^3 - 3z)/6 - t2^-3 t3^2 [2z^3/3 + (z^5 - 10z^3 + 15z)/9]
@@ -78,9 +78,9 @@ def coverage_polys_at(N: KernelSpec, z: float, trunc: TruncatedSupport | None = 
 
     with t_k the integral of N(u)^k.
     """
-    t2 = N.moment_theta(2, trunc)
-    t3 = N.moment_theta(3, trunc)
-    t4 = N.moment_theta(4, trunc)
+    t2 = N.moment_theta(2)
+    t3 = N.moment_theta(3)
+    t4 = N.moment_theta(4)
     q1 = t2**-2 * t4 * (z**3 - 3 * z) / 6.0 - t2**-3 * t3**2 * (
         2 * z**3 / 3.0 + (z**5 - 10 * z**3 + 15 * z) / 9.0
     )
@@ -89,14 +89,12 @@ def coverage_polys_at(N: KernelSpec, z: float, trunc: TruncatedSupport | None = 
     return q1, q2, q3
 
 
-def coverage_polys_density(
-    N: KernelSpec, alpha: float, trunc: TruncatedSupport | None = None
-) -> CoveragePolys:
+def coverage_polys_density(N: KernelSpec, alpha: float) -> CoveragePolys:
     """The polynomials at the two-sided Normal critical value for level 1-alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     z = float(ndtri(1.0 - alpha / 2.0))
-    q1, q2, q3 = coverage_polys_at(N, z, trunc)
+    q1, q2, q3 = coverage_polys_at(N, z)
     return CoveragePolys(q1=q1, q2=q2, q3=q3, alpha=alpha)
 
 
@@ -109,7 +107,7 @@ class BandwidthChoice:
     """A selected bandwidth, its rule tag, and selection diagnostics."""
 
     value: float
-    rule: str  # "fixed" | "mse-normal-ref" | "silverman-rot" | "rot" | "dpi"
+    rule: str  # "mse-normal-ref" | "silverman-rot" | "rot" | "dpi"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -211,14 +209,25 @@ def population_mse_bandwidth_density(density, x: float, n: int, K: KernelSpec) -
     return float(brentq(gap, lo if gap(lo) < 0 else hi / 1e3, hi, xtol=1e-10))
 
 
+def _sample_sd(values: np.ndarray) -> float:
+    """Sample standard deviation (ddof = 1): the one check that a sample has spread.
+
+    Raises ZeroCurvatureError for fewer than two observations or zero spread.
+    """
+    if values.size < 2:
+        raise ZeroCurvatureError("sample standard deviation needs at least two observations")
+    sd = float(np.std(values, ddof=1))
+    if sd <= 0:
+        raise ZeroCurvatureError("sample standard deviation is zero")
+    return sd
+
+
 def mse_bandwidth_density_normal_ref(
     sample: DensitySample, x: float, kappa: int, K: KernelSpec
 ) -> BandwidthChoice:
     """Same as the reference rule with mu, sigma estimated from the sample."""
     mu = float(np.mean(sample.observations))
-    sigma = float(np.std(sample.observations, ddof=1))
-    if sigma <= 0:
-        raise ZeroCurvatureError("sample standard deviation is zero")
+    sigma = _sample_sd(sample.observations)
     return mse_bandwidth_density_reference(x, sample.n, kappa, K, mu, sigma)
 
 
@@ -226,12 +235,9 @@ def silverman_rot_density(sample: DensitySample, r: int = 2) -> BandwidthChoice:
     """Silverman-style rule sigma_hat * 2.34 * n^(-1/(2r+1))."""
     if r < 2 or r % 2 != 0:
         raise ValueError("r must be an even integer >= 2")
-    sigma = float(np.std(sample.observations, ddof=1))
+    sigma = _sample_sd(sample.observations)
     value = sigma * 2.34 * sample.n ** (-1.0 / (2 * r + 1))
-    diag = {"sigma": sigma}
-    if sigma == 0.0:
-        diag["invalid"] = True
-    return BandwidthChoice(value=value, rule="silverman-rot", diagnostics=diag)
+    return BandwidthChoice(value=value, rule="silverman-rot", diagnostics={"sigma": sigma})
 
 
 def rot_bandwidth(h_mse: float, context: str, order: int, n: int) -> BandwidthChoice:
@@ -379,25 +385,19 @@ def dpi_bandwidth_density(
     Fixes rho = 1, estimates f^(kappa+2)(x) with a minimum-variance
     derivative kernel at its normal-reference pilot bandwidth, and
     minimizes the squared three-term objective in H; the selected
-    bandwidth is H * n^(-1/(kappa+3)).  Falls back to the rule-of-thumb
-    rescaling (flagged) when a pilot degenerates or the objective is
-    monotone on the bracket; a zero sample sd raises ZeroCurvatureError.
+    bandwidth is H * n^(-1/(kappa+3)).  Falls back to the "rot" rule, or
+    Silverman's where that is undefined (flagged), when a pilot degenerates
+    or the objective is monotone on the bracket; fewer than two
+    observations or a zero sample sd raise ZeroCurvatureError.
     """
     n = sample.n
-    sigma_x = float(np.std(sample.observations, ddof=1))
-    if sigma_x <= 0:
-        raise ZeroCurvatureError("sample standard deviation is zero")
+    sigma_x = _sample_sd(sample.observations)
     mu_x = float(np.mean(sample.observations))
     diag: dict = {"pilot": "minvar-derivative-kernel, normal-reference MSE bandwidth"}
 
     def _fallback(reason: str) -> BandwidthChoice:
         try:
-            rot = rot_bandwidth(
-                mse_bandwidth_density_normal_ref(sample, x, kappa, K).value,
-                "density",
-                kappa,
-                n,
-            )
+            rot = select("rot", sample, x, K, kappa=kappa)
         except ZeroCurvatureError:
             # reference curvature vanished too; Silverman is always defined
             rot = silverman_rot_density(sample, kappa)
@@ -432,22 +432,6 @@ def dpi_bandwidth_density(
 # local polynomial: pilots
 # ----------------------------------------------------------------------
 
-def _global_poly_fit(sample: RegressionSample, degree: int):
-    """OLS of Y on raw powers 0..degree of X; returns (gamma, sigma2_hat)."""
-    n = sample.n
-    if n <= degree + 1:
-        raise SingularDesignError(
-            f"global degree-{degree} fit needs more than {degree + 1} observations"
-        )
-    V = np.vander(sample.x_values, N=degree + 1, increasing=True)
-    gamma, _res, rank, _sv = np.linalg.lstsq(V, sample.y_values, rcond=None)
-    if rank < degree + 1:
-        raise SingularDesignError("global polynomial design is rank deficient")
-    resid = sample.y_values - V @ gamma
-    dof = max(1, n - (degree + 1))
-    return gamma, float(resid @ resid / dof)
-
-
 def global_poly_derivative(sample: RegressionSample, k: int, x: float) -> float:
     """m^(k)(x) from a global polynomial fit of degree k+2.
 
@@ -459,16 +443,20 @@ def global_poly_derivative(sample: RegressionSample, k: int, x: float) -> float:
 
 
 def _global_poly_pilot(sample: RegressionSample, k: int, x: float):
-    """(m^(k)(x), sigma2_hat) from one global fit of degree k+2."""
+    """(m^(k)(x), sigma2_hat) from one OLS fit of Y on raw powers 0..k+2 of X."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if sample.n <= k + 6:
         raise SingularDesignError(f"need n > {k + 6} observations for k = {k}")
-    gamma, s2 = _global_poly_fit(sample, k + 2)
+    V = np.vander(sample.x_values, N=k + 3, increasing=True)
+    gamma, _res, rank, _sv = np.linalg.lstsq(V, sample.y_values, rcond=None)
+    if rank < k + 3:
+        raise SingularDesignError("global polynomial design is rank deficient")
+    resid = sample.y_values - V @ gamma
     out = 0.0
     for j in range(k, k + 3):
         out += gamma[j] * math.factorial(j) / math.factorial(j - k) * x ** (j - k)
-    return float(out), s2
+    return float(out), float(resid @ resid / (sample.n - (k + 3)))
 
 
 def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
@@ -511,12 +499,10 @@ def mse_bandwidth_lp(
     support when ``boundary`` is set.
     """
     n = sample.n
-    m_deriv, sigma2 = _global_poly_pilot(sample, p + 1, x)
     xs = DensitySample(sample.x_values)
-    h_f = silverman_rot_density(xs, 2)
-    if h_f.diagnostics.get("invalid"):
-        raise ZeroCurvatureError("covariates carry no variation")
-    f_x = density_point_estimate(xs, x, h_f.value, kernel("epanechnikov"))
+    h_f = silverman_rot_density(xs, 2).value  # covariates without spread fail here first
+    m_deriv, sigma2 = _global_poly_pilot(sample, p + 1, x)
+    f_x = density_point_estimate(xs, x, h_f, kernel("epanechnikov"))
     if f_x <= 1e-12:
         raise ZeroCurvatureError(f"design density estimate vanished at x = {x}")
     trunc = _boundary_trunc(sample, x) if boundary else None
@@ -701,49 +687,48 @@ def dpi_bandwidth_lp(
     and m^(p+3) from global polynomial fits; (4) plug-in coverage-error
     polynomials and bias constants from the pilot fits; (5) minimize the
     squared objective and rescale by n^(-1/(p+4)) (interior) or
-    n^(-1/(p+3)) (boundary).  Falls back to the rule-of-thumb rescaling
-    (flagged) when a pilot degenerates or the objective is monotone; a
-    zero covariate sd raises ZeroCurvatureError.
+    n^(-1/(p+3)) (boundary).  Falls back to the "rot" rule, or to
+    2.34 sd n^rate where that is undefined (flagged), when a pilot
+    degenerates or the objective is monotone; a zero covariate sd raises
+    ZeroCurvatureError.
     """
     n = sample.n
     q = p + 1
-    sigma_x = float(np.std(sample.x_values, ddof=1))
-    if sigma_x <= 0:
-        raise ZeroCurvatureError("sample standard deviation is zero")
+    s = p + 2 if boundary_flag else p + 3  # order of the post-correction bias
+    sigma_x = _sample_sd(sample.x_values)
     diag: dict = {"boundary": boundary_flag}
 
-    def _scale_fallback(reason: str) -> BandwidthChoice:
-        rate = -1.0 / (p + 3) if boundary_flag else -1.0 / (p + 4)
-        return _flagged(2.34 * sigma_x * n**rate, reason, diag, {"pilot": "scale"})
+    def _fallback(reason: str) -> BandwidthChoice:
+        try:
+            rot = select("rot", sample, x, K, p=p, boundary=boundary_flag)
+        except (ZeroCurvatureError, SingularDesignError):
+            h = 2.34 * sigma_x * n ** (-1.0 / (s + 1))
+            return _flagged(h, reason, diag, {"pilot": "scale"})
+        return _flagged(rot.value, reason, diag, rot.diagnostics)
 
     try:
         h_mse = mse_bandwidth_lp(sample, x, p, K, boundary=boundary_flag)
     except (ZeroCurvatureError, SingularDesignError) as exc:
-        return _scale_fallback(f"mse pilot failed: {exc}")
+        return _fallback(f"mse pilot failed: {exc}")
     diag["h_mse"] = h_mse.value
-
-    def _rot_fallback(reason: str) -> BandwidthChoice:
-        context = "lp-boundary" if boundary_flag else "lp-interior"
-        rot = rot_bandwidth(h_mse.value, context, p, n)
-        return _flagged(rot.value, reason, diag, rot.diagnostics)
 
     try:
         fit_p = lp_fit(sample, x, p, h_mse.value, K)
         fit_q = lp_fit(sample, x, q, h_mse.value, K)
     except SingularDesignError as exc:
-        return _rot_fallback(f"pilot fit failed: {exc}")
+        return _fallback(f"pilot fit failed: {exc}")
     eps = fit_p.residuals
 
     try:
         m_p2 = global_poly_derivative(sample, p + 2, x)
         m_p3 = global_poly_derivative(sample, p + 3, x) if not boundary_flag else 0.0
     except SingularDesignError as exc:
-        return _rot_fallback(f"global derivative pilot failed: {exc}")
+        return _fallback(f"global derivative pilot failed: {exc}")
 
     z = float(ndtri(1.0 - alpha / 2.0))
     qhat = _edgeworth_q_hats(fit_q, eps, z)
     if qhat is None:
-        return _rot_fallback("pilot residual variance vanished")
+        return _fallback("pilot residual variance vanished")
     q1, q2, q3, terms = qhat
     diag["q_hats"] = {"q1": q1, "q2": q2, "q3": q3}
 
@@ -767,12 +752,11 @@ def dpi_bandwidth_lp(
     diag["eta_bc"] = eta
     y_scale = max(1.0, float(np.max(np.abs(sample.y_values))))
     if not np.isfinite(eta) or abs(eta) < 1e-12 * y_scale:
-        return _rot_fallback("plug-in bias constant vanished")
-    s = p + 2 if boundary_flag else p + 3  # order of the post-correction bias
+        return _fallback("plug-in bias constant vanished")
     try:
         value = _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag)
     except MonotoneObjectiveError as exc:
-        return _rot_fallback(str(exc))
+        return _fallback(str(exc))
     return BandwidthChoice(value=value, rule="dpi", diagnostics=diag)
 
 
@@ -803,8 +787,9 @@ def select(
     optimal), "rot" (the MSE bandwidth rescaled to the coverage-error
     rate) and, for densities, "silverman".  Density rules use the order
     ``kappa`` and, for "dpi", the bias kernel ``L``; local polynomial rules
-    use the degree ``p`` and the ``boundary`` rate.  A degenerate Silverman
-    bandwidth raises ZeroCurvatureError and an unknown rule ValueError.
+    use the degree ``p`` and the ``boundary`` rate.  Every rule raises
+    ZeroCurvatureError for fewer than two observations or zero spread, and
+    an unknown rule raises ValueError.
     """
     # selectors are looked up by module name at call time so that a
     # patched (e.g. traced) selector is the one that runs
@@ -824,10 +809,7 @@ def select(
                 raise ValueError("the density dpi rule needs the bias kernel L")
             return dpi_bandwidth_density(sample, x, K, L, kappa, alpha)
         if rule == "silverman":
-            choice = silverman_rot_density(sample, kappa)
-            if choice.diagnostics.get("invalid"):
-                raise ZeroCurvatureError("silverman bandwidth degenerate")
-            return choice
+            return silverman_rot_density(sample, kappa)
         mse = mse_bandwidth_density_normal_ref(sample, x, kappa, K)
         context, order = "density", kappa
     else:

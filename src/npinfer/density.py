@@ -43,6 +43,9 @@ __all__ = [
 # the bias kernel L of density inference when the caller names none
 DEFAULT_BIAS_KERNEL = "mseopt-deriv2"
 
+# the order of the intervals in every triple that interval_triple builds
+METHODS = ("US", "BC", "RBC")
+
 
 @dataclass(frozen=True, eq=False)
 class DensitySample:
@@ -75,7 +78,7 @@ class ConfidenceInterval:
     center: float
     half_width: float
     level: float
-    flavor: str  # "US" | "BC" | "RBC"
+    flavor: str  # one of METHODS
 
     @property
     def lower(self) -> float:
@@ -106,7 +109,7 @@ class ConfidenceInterval:
 def interval_triple(
     point: float, bias: float, se_us: float, se_rbc: float, n: int, h: float, alpha: float
 ) -> tuple:
-    """The (US, BC, RBC) intervals around a point estimate.
+    """The US, BC and RBC intervals around a point estimate, in METHODS order.
 
     Half-widths are z * se / sqrt(nh) with z = Phi^(-1)(1 - alpha/2).  US
     is centered at the point estimate; BC and RBC at the point estimate
@@ -114,18 +117,22 @@ def interval_triple(
     """
     z = float(ndtri(1.0 - alpha / 2.0))
     scale = math.sqrt(n * h)
-    level = 1.0 - alpha
     center_bc = point - bias
     hw_us = z * se_us / scale
-    return (
-        ConfidenceInterval(point, hw_us, level, "US"),
-        ConfidenceInterval(center_bc, hw_us, level, "BC"),
-        ConfidenceInterval(center_bc, z * se_rbc / scale, level, "RBC"),
-    )
+    parts = ((point, hw_us), (center_bc, hw_us), (center_bc, z * se_rbc / scale))
+    return tuple(ConfidenceInterval(c, hw, 1.0 - alpha, m) for (c, hw), m in zip(parts, METHODS))
+
+
+class IntervalTriple:
+    """Named access to an ``intervals`` triple that interval_triple built."""
+
+    ci_us = property(lambda self: self.intervals[0])
+    ci_bc = property(lambda self: self.intervals[1])
+    ci_rbc = property(lambda self: self.intervals[2])
 
 
 @dataclass(frozen=True)
-class DensityInference:
+class DensityInference(IntervalTriple):
     """All point-and-interval output for one evaluation point."""
 
     x: float
@@ -140,18 +147,6 @@ class DensityInference:
     intervals: tuple
     degenerate: bool
     negative_center: bool
-
-    @property
-    def ci_us(self) -> ConfidenceInterval:
-        return self.intervals[0]
-
-    @property
-    def ci_bc(self) -> ConfidenceInterval:
-        return self.intervals[1]
-
-    @property
-    def ci_rbc(self) -> ConfidenceInterval:
-        return self.intervals[2]
 
     def to_dict(self) -> dict:
         return {

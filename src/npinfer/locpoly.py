@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import ConfidenceInterval, interval_triple
+from .density import IntervalTriple, interval_triple
 from .errors import DegenerateSampleError, LeverageOneError, SingularDesignError
 from .kernels import KernelSpec
 
@@ -132,8 +132,9 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     Raises
     ------
     SingularDesignError
-        Fewer than p+1 distinct in-window covariates, or the scaled Gram
-        matrix has reciprocal condition below 1e-12.
+        Fewer than p+1 distinct in-window covariates of nonzero kernel
+        weight, or the scaled Gram matrix has reciprocal condition below
+        1e-12.
     """
     if not (h > 0) or not np.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h!r}")
@@ -146,10 +147,11 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     lo, hi = K.support
     inside = (u >= lo) & (u <= hi)
     eff_n = int(np.count_nonzero(inside))
-    if np.unique(X[inside]).size < p + 1:
+    # edge rows of the window carry zero kernel weight and identify nothing
+    distinct = np.unique(X[inside & (kvals != 0)]).size
+    if distinct < p + 1:
         raise SingularDesignError(
-            f"only {np.unique(X[inside]).size} distinct covariates inside the "
-            f"window at x={x} (need {p + 1})"
+            f"only {distinct} distinct covariates inside the window at x={x} (need {p + 1})"
         )
     basis = np.vander(u, N=p + 1, increasing=True)
     w = np.where(inside, kvals, 0.0) / h
@@ -274,7 +276,7 @@ def lp_variance(weights: np.ndarray, v_hats: np.ndarray, h: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class LocPolyInference:
+class LocPolyInference(IntervalTriple):
     """Point estimates, bias correction, and the three intervals at x.
 
     ``weights_rbc`` are the linear coefficients of the bias-corrected
@@ -293,18 +295,6 @@ class LocPolyInference:
     intervals: tuple
     boundary_flag: bool
     degenerate: bool
-
-    @property
-    def ci_us(self) -> ConfidenceInterval:
-        return self.intervals[0]
-
-    @property
-    def ci_bc(self) -> ConfidenceInterval:
-        return self.intervals[1]
-
-    @property
-    def ci_rbc(self) -> ConfidenceInterval:
-        return self.intervals[2]
 
     def to_dict(self) -> dict:
         return {

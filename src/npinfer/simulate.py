@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bandwidth import RULES, select
-from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
+from .density import DEFAULT_BIAS_KERNEL, METHODS, DensitySample, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import derivative_part, kernel
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
@@ -41,8 +41,6 @@ __all__ = [
     "bandwidth_grid_sweep",
     "curve_rows",
 ]
-
-METHODS = ("US", "BC", "RBC")
 
 # slack for the coverage indicator so exact noise-free reproduction scores
 # as covered despite roundoff-width intervals
@@ -426,10 +424,11 @@ def run_mc(config: McConfig, workers: int = 1) -> McReport:
 
 def _aggregate(config: McConfig, records, truths) -> McReport:
     npts = len(config.evaluation_points)
-    cover = {m: np.zeros(npts, dtype=int) for m in METHODS}
-    length_sum = {m: np.zeros(npts) for m in METHODS}
-    bias_sum = {m: np.zeros(npts) for m in METHODS}
-    degen = {m: np.zeros(npts, dtype=int) for m in METHODS}
+    # one row per method, in METHODS order, one column per point
+    cover = np.zeros((len(METHODS), npts), dtype=int)
+    degen = np.zeros((len(METHODS), npts), dtype=int)
+    length_sum = np.zeros((len(METHODS), npts))
+    bias_sum = np.zeros((len(METHODS), npts))
     singular = np.zeros(npts, dtype=int)
     bad_bw = np.zeros(npts, dtype=int)
     used = np.zeros(npts, dtype=int)
@@ -447,37 +446,30 @@ def _aggregate(config: McConfig, records, truths) -> McReport:
             h_values[i].append(h)
             truth = truths[i]
             slack = _COVER_SLACK * max(1.0, abs(truth))
-            for m_idx, m in enumerate(METHODS):
-                center, hw = intervals[m_idx]
+            for k, (center, hw) in enumerate(intervals):
                 if center - hw - slack <= truth <= center + hw + slack:
-                    cover[m][i] += 1
-                length_sum[m][i] += 2.0 * hw
-                bias_sum[m][i] += center - truth
+                    cover[k, i] += 1
+                length_sum[k, i] += 2.0 * hw
+                bias_sum[k, i] += center - truth
                 if hw == 0.0:
-                    degen[m][i] += 1
+                    degen[k, i] += 1
 
-    coverage = {
-        m: [float(cover[m][i] / used[i]) if used[i] else None for i in range(npts)]
-        for m in METHODS
-    }
-    mean_length = {
-        m: [float(length_sum[m][i] / used[i]) if used[i] else None for i in range(npts)]
-        for m in METHODS
-    }
-    mean_bias = {
-        m: [float(bias_sum[m][i] / used[i]) if used[i] else None for i in range(npts)]
-        for m in METHODS
-    }
-    degenerate = {m: [int(v) for v in degen[m]] for m in METHODS}
+    def per_point_mean(sums):
+        """Method -> the mean over used replications at each point (None if none)."""
+        return {
+            m: [float(s / u) if u else None for s, u in zip(row, used)]
+            for m, row in zip(METHODS, sums)
+        }
+
     bw_stats = tuple(_quartile_stats(np.array(h_values[i])) for i in range(npts))
     return McReport(
         config=config.echo(),
         points=config.evaluation_points,
         truths=tuple(truths),
-        coverage=coverage,
-        mean_length=mean_length,
-        mean_bias=mean_bias,
-        degenerate=degenerate,
+        coverage=per_point_mean(cover),
+        mean_length=per_point_mean(length_sum),
+        mean_bias=per_point_mean(bias_sum),
+        degenerate={m: [int(v) for v in row] for m, row in zip(METHODS, degen)},
         singular_failures=tuple(int(v) for v in singular),
         bandwidth_failures=tuple(int(v) for v in bad_bw),
         used_replications=tuple(int(v) for v in used),

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import bandwidth_reference as reference
 from npinfer import DensitySample, induced_kernel, kernel
 from npinfer import bandwidth
 from npinfer.bandwidth import (
@@ -115,10 +119,8 @@ class TestSilvermanAndRot:
         assert bw.value == pytest.approx(0.676, abs=1e-3)
 
     def test_silverman_degenerate_flagged(self):
-        s = DensitySample(np.zeros(10))
-        bw = silverman_rot_density(s, 2)
-        assert bw.value == 0.0
-        assert bw.diagnostics["invalid"]
+        with pytest.raises(ZeroCurvatureError, match="^sample standard deviation is zero$"):
+            silverman_rot_density(DensitySample(np.zeros(10)), 2)
 
     def test_silverman_linear_in_sigma(self):
         rng = np.random.default_rng(2)
@@ -454,8 +456,15 @@ class TestSelect:
             select(rule, _regression_sample(), 0.0, EPA)
 
     def test_degenerate_silverman_raises(self):
-        with pytest.raises(ZeroCurvatureError, match="silverman"):
+        with pytest.raises(ZeroCurvatureError, match="^sample standard deviation is zero$"):
             select("silverman", DensitySample(np.ones(10)), 1.0, EPA)
+
+    @pytest.mark.parametrize("rule", RULES["density"])
+    def test_one_observation_density_raises(self, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ZeroCurvatureError, match="at least two observations"):
+                select(rule, DensitySample([0.3]), 0.0, EPA, L=MSE2)
 
     def test_density_dpi_zero_sd_is_zero_curvature(self):
         with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
@@ -482,3 +491,100 @@ class TestSelect:
         monkeypatch.setattr(bandwidth, "dpi_bandwidth_density", lambda *a, **k: stub)
         assert select("dpi", _regression_sample(), 0.0, EPA) is stub
         assert select("dpi", _density_sample(), 0.0, EPA, L=MSE2) is stub
+
+
+@st.composite
+def _spread_cases(draw, n_min):
+    """Values that reach the fallbacks: few, tied, partly or wholly constant."""
+    n = draw(st.one_of(st.integers(n_min, 12), st.integers(13, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(n)
+    shape = draw(st.sampled_from(["continuous", "tied", "constant-block", "constant"]))
+    if shape == "tied":
+        v = np.round(2 * v) / 2
+    elif shape == "constant-block":
+        v[: draw(st.integers(1, n))] = v[0]
+    elif shape == "constant":
+        v[:] = v[0]
+    return v
+
+
+@st.composite
+def _evaluation_point(draw, v):
+    """An edge of the data, a point inside, in the tail or far outside."""
+    where = draw(st.sampled_from(["lo", "hi", "inside", "tail", "far"]))
+    if where == "lo":
+        return float(v.min())
+    if where == "hi":
+        return float(v.max())
+    if where == "inside":
+        return draw(st.floats(float(v.min()), float(v.max())))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    return side * (draw(st.floats(2.0, 4.0)) if where == "tail" else 40.0)
+
+
+def _outcome(call):
+    """What a selector call returns or raises, comparable bit for bit."""
+    try:
+        choice = call()
+    except Exception as exc:  # noqa: BLE001 - the error type is the outcome
+        return ("raises", type(exc).__name__, str(exc))
+    return ("value", choice.value.hex(), choice.rule, repr(choice.diagnostics))
+
+
+def _assert_same_as_reference(new, ref, values):
+    """Equal outcomes, except that every rule raises ZeroCurvatureError for a
+    sample without spread, where the reference returned NaN, flagged the
+    choice invalid or failed in its own way."""
+    if values.size < 2 or float(np.std(values, ddof=1)) == 0.0:
+        assert new[:2] == ("raises", "ZeroCurvatureError"), (new, ref)
+        assert ref[0] == "raises" or ref[1] == "nan" or "'invalid': True" in ref[3], (new, ref)
+    else:
+        assert new == ref
+
+
+class TestAgainstReference:
+    """Every rule against the selectors before one spread check and one
+    fallback rule (tests/bandwidth_reference.py)."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), kappa=st.sampled_from([2, 4]), alpha=st.sampled_from([0.05, 0.1]))
+    def test_density_rules(self, data, kappa, alpha):
+        v = data.draw(_spread_cases(1))
+        x = data.draw(_evaluation_point(v))
+        s = DensitySample(v)
+        K, L = (EPA, MSE2) if kappa == 2 else (kernel("minvar-order4"), kernel("mseopt-order4"))
+        for rule in RULES["density"]:
+            new = _outcome(lambda: select(rule, s, x, K, L=L, kappa=kappa, alpha=alpha))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ref = _outcome(
+                    lambda: reference.select(rule, s, x, K, L=L, kappa=kappa, alpha=alpha)
+                )
+            _assert_same_as_reference(new, ref, s.observations)
+
+    @settings(max_examples=150)
+    @given(
+        data=st.data(),
+        p=st.integers(0, 3),
+        boundary=st.booleans(),
+        response=st.sampled_from(["noisy", "cubic", "linear", "constant", "zero-block"]),
+    )
+    def test_lpreg_rules(self, data, p, boundary, response):
+        xv = data.draw(_spread_cases(2))
+        x = data.draw(_evaluation_point(xv))
+        noise = np.random.default_rng(xv.size).standard_normal(xv.size)
+        y = {
+            "noisy": np.sin(3 * xv) + 0.3 * noise,
+            "cubic": xv**3 - xv,
+            "linear": 3 * xv + 1,
+            "constant": np.ones_like(xv),
+            "zero-block": np.where(np.abs(xv) < 0.5, 0.0, noise),
+        }[response]
+        s = RegressionSample(xv, y)
+        for rule in RULES["lpreg"]:
+            new = _outcome(lambda: select(rule, s, x, EPA, p=p, boundary=boundary))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ref = _outcome(lambda: reference.select(rule, s, x, EPA, p=p, boundary=boundary))
+            _assert_same_as_reference(new, ref, s.x_values)

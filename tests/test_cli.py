@@ -236,6 +236,20 @@ class TestRuleParity:
         assert code == 1
         assert _last_error(capsys)["error"] == "ZeroCurvatureError"
 
+    @pytest.mark.parametrize("method", ["silverman", "mse", "rot"])
+    def test_one_row_density_bw_is_zero_curvature(self, method, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("x\n0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["bw", "--data", str(path), "--x", "0", "--method", method])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip().splitlines()[-1])
+        assert error["error"] == "ZeroCurvatureError"
+        assert "at least two observations" in error["message"]
+
     @pytest.mark.parametrize(
         "command,rows",
         [

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,17 @@ class TestFit:
         s = RegressionSample([-0.2, 0.1, 0.9, 3.0], [0.0, 1.0, 2.0, 3.0])
         fit = lp_fit(s, 0.0, 1, 1.0, EPA)
         assert fit.effective_n == 3
+
+    def test_zero_weight_edge_rows_are_not_distinct_covariates(self):
+        # X = -1 and 1 sit on the window's edges, where the kernel vanishes
+        s = RegressionSample([-1.0, 1.0, 5.0], [0.0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularDesignError) as exc:
+                lp_fit(s, 0.0, 1, 1.0, EPA)
+        assert str(exc.value) == (
+            "only 0 distinct covariates inside the window at x=0.0 (need 2)"
+        )
 
     def test_one_sided_kernel_window(self):
         # only 0 <= (X - x)/h <= 1 is in the window: X in [0, 0.5]
