@@ -212,12 +212,15 @@ def population_mse_bandwidth_density(density, x: float, n: int, K: KernelSpec) -
 def _sample_sd(values: np.ndarray) -> float:
     """Sample standard deviation (ddof = 1): the one check that a sample has spread.
 
-    Raises ZeroCurvatureError for fewer than two observations or zero spread.
+    ``values`` are sorted, as both sample types store them.  Raises
+    ZeroCurvatureError for fewer than two observations, for equal values,
+    whose std may be roundoff (1.7e-17 for three copies of 0.1), and for
+    a std that underflows to zero (1e-170, 2e-170, 3e-170).
     """
     if values.size < 2:
         raise ZeroCurvatureError("sample standard deviation needs at least two observations")
     sd = float(np.std(values, ddof=1))
-    if sd <= 0:
+    if values[0] == values[-1] or sd <= 0:
         raise ZeroCurvatureError("sample standard deviation is zero")
     return sd
 

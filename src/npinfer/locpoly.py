@@ -210,8 +210,49 @@ def _bias_parts(fit_p: LocPolyFit, fit_q: LocPolyFit):
     return c, s
 
 
+def _nearest_neighbors(X: np.ndarray, rows: np.ndarray, J: int) -> np.ndarray:
+    """Indices of the J nearest neighbors of each X[rows] in sorted X, one row each.
+
+    Each row lists its neighbors nearest first and, among equal distances,
+    lowest index first: the order of a stable argsort of |X - X[i]| with i
+    itself left out.  As X is sorted, the J nearest lie within J places of
+    i, except that a block of ties at the J-th distance may reach further
+    left; a bisection finds where that block starts.
+    """
+    n = X.size
+    xi = X[rows][:, None]
+    step = np.arange(1, J + 1)
+    left, right = rows[:, None] - step, rows[:, None] + step
+    d_left = np.where(left >= 0, np.abs(X[np.maximum(left, 0)] - xi), np.inf)
+    d_right = np.where(right < n, np.abs(X[np.minimum(right, n - 1)] - xi), np.inf)
+    d_J = np.partition(np.hstack([d_left, d_right]), J - 1, axis=1)[:, J - 1 : J]
+    closer_left = np.count_nonzero(d_left < d_J, axis=1)
+    closer_right = np.count_nonzero(d_right < d_J, axis=1)
+    # the left rows at distance d_J start here, unless they fill the left window
+    start = rows - np.count_nonzero(d_left <= d_J, axis=1)
+    far = np.flatnonzero(start == rows - J)
+    lo, hi = np.zeros(far.size, dtype=start.dtype), start[far]
+    x_far, d_far = xi[far, 0], d_J[far, 0]
+    while np.any(lo < hi):  # |X[j] - X[i]| does not increase in j <= i
+        mid = (lo + hi) // 2
+        tied = np.abs(X[mid] - x_far) <= d_far
+        lo, hi = np.where(tied, lo, mid + 1), np.where(tied, mid, hi)
+    start[far] = hi
+    # in index order: the lowest-indexed ties on the left, the closer left
+    # rows, then the right rows (closer ones first, then ties)
+    from_ties = np.minimum(J - closer_left - closer_right, rows - closer_left - start)[:, None]
+    k = from_ties + closer_left[:, None]
+    t = np.arange(J)
+    idx = np.where(t < from_ties, start[:, None] + t, rows[:, None] - k + t + (t >= k))
+    order = np.argsort(np.abs(X[idx] - xi), axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1)
+
+
 def lp_residual_weights(
-    fit: LocPolyFit, method: VarianceMethod, sample: RegressionSample
+    fit: LocPolyFit,
+    method: VarianceMethod,
+    sample: RegressionSample,
+    window: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-observation variance estimates v_hat(X_i) for the sandwich.
 
@@ -219,8 +260,11 @@ def lp_residual_weights(
     leverage of the kernel-weighted projection Q = R G^-1 R' W / n
     (restricted to in-window observations, with in-window counts in the
     HC1 trace correction).  NN ignores the fit's residuals and uses the
-    J-nearest-neighbor difference estimate.  Out-of-window observations
-    get zeros; they never touch the sandwich.
+    J-nearest-neighbor difference estimate, J / (J + 1) times the squared
+    gap between Y_i and the mean of its J nearest neighbors (lowest index
+    first among equal distances), at O(n_w J) cost for n_w rows; NN alone
+    takes a boolean ``window`` of rows to fill in place of the fit's.
+    Out-of-window observations get zeros; they never touch the sandwich.
     """
     n = sample.n
     m = fit.in_window
@@ -231,13 +275,13 @@ def lp_residual_weights(
         if n < J + 1:
             raise DegenerateSampleError(f"nearest-neighbor weights need n >= {J + 1}")
         X, Y = sample.x_values, sample.y_values
-        idx_in = np.flatnonzero(m)
-        for i in idx_in:
-            dist = np.abs(X - X[i])
-            dist[i] = np.inf  # exclude self
-            order = np.argsort(dist, kind="stable")[:J]
-            v[i] = J / (J + 1) * (Y[i] - Y[order].mean()) ** 2
+        rows = np.flatnonzero(m if window is None else window)
+        pick = _nearest_neighbors(X, rows, J)
+        # float_power rounds as a scalar ** 2 (C pow) does; an array ** 2 can differ in the last bit
+        v[rows] = J / (J + 1) * np.float_power(Y[rows] - Y[pick].mean(axis=1), 2)
         return v
+    if window is not None:
+        raise ValueError("only nearest-neighbor weights take a window")
 
     res2 = fit.residuals[m] ** 2
     if method.kind == "hc0":
@@ -345,13 +389,15 @@ def lp_infer(
     k = rho ** (p + 1) * c
     bias_hat = k * float(s @ sample.y_values)
     weights_rbc = fit_p.weights - k * s
-    v_q = lp_residual_weights(fit_q, method, sample)
-    # NN estimates depend on the fit only through its window, and the
-    # p-weights vanish outside the p-window
-    if method.kind == "nn" and not np.any(fit_p.in_window & ~fit_q.in_window):
-        v_p = v_q
+    if method.kind == "nn":
+        # NN estimates depend on a fit only through its window.  The RBC
+        # weights reach over both windows; the p-weights vanish outside the
+        # p-window, so the US sandwich sees only the p-window's estimates.
+        union = fit_p.in_window | fit_q.in_window
+        v_p = v_q = lp_residual_weights(fit_q, method, sample, window=union)
     else:
         v_p = lp_residual_weights(fit_p, method, sample)
+        v_q = lp_residual_weights(fit_q, method, sample)
     var_us = lp_variance(fit_p.weights, v_p, fit_p.h)
     var_rbc = lp_variance(weights_rbc, v_q, fit_p.h)
     # residuals from an exactly reproduced polynomial are pure roundoff;

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from npinfer.density import interval_triple
+from npinfer.errors import DegenerateSampleError
 from npinfer.kernels import KernelSpec
 from npinfer.locpoly import (
     LocPolyFit,
@@ -28,6 +29,25 @@ from npinfer.locpoly import (
     lp_fit,
     lp_residual_weights,
 )
+
+
+def reference_nn_weights(sample: RegressionSample, window: np.ndarray, J: int) -> np.ndarray:
+    """J-nearest-neighbor variance estimates on the rows of ``window``, zeros elsewhere.
+
+    Each row argsorts its distances to all n observations (itself set to
+    infinity), stably, so among equal distances the lowest index wins.
+    """
+    n = sample.n
+    if n < J + 1:
+        raise DegenerateSampleError(f"nearest-neighbor weights need n >= {J + 1}")
+    X, Y = sample.x_values, sample.y_values
+    v = np.zeros(n)
+    for i in np.flatnonzero(window):
+        dist = np.abs(X - X[i])
+        dist[i] = np.inf  # exclude self
+        order = np.argsort(dist, kind="stable")[:J]
+        v[i] = J / (J + 1) * (Y[i] - Y[order].mean()) ** 2
+    return v
 
 
 def _rbc_weights(fit_p: LocPolyFit, fit_q: LocPolyFit, rho: float) -> np.ndarray:
@@ -104,8 +124,13 @@ def reference_lp_infer(
     rho = h / b
 
     bias_hat = _bias_from_fits(fit_p, fit_q, sample)
-    v_p = lp_residual_weights(fit_p, method, sample)
-    v_q = lp_residual_weights(fit_q, method, sample)
+    if method.kind == "nn":
+        union = fit_p.in_window | fit_q.in_window
+        v_p = reference_nn_weights(sample, fit_p.in_window, method.nn_neighbors)
+        v_q = reference_nn_weights(sample, union, method.nn_neighbors)
+    else:
+        v_p = lp_residual_weights(fit_p, method, sample)
+        v_q = lp_residual_weights(fit_q, method, sample)
     var_us = lp_variance_us(fit_p, v_p)
     var_rbc = lp_variance_rbc(fit_p, fit_q, rho, v_q)
     # residuals from an exactly reproduced polynomial are pure roundoff;

@@ -466,6 +466,13 @@ class TestSelect:
             with pytest.raises(ZeroCurvatureError, match="at least two observations"):
                 select(rule, DensitySample([0.3]), 0.0, EPA, L=MSE2)
 
+    @pytest.mark.parametrize("rule", RULES["density"])
+    # np.std([0.1] * 3, ddof=1) is 1.7e-17, not zero; the second std underflows to zero
+    @pytest.mark.parametrize("values", [[0.1] * 3, [1e-170, 2e-170, 3e-170]])
+    def test_roundoff_spread_is_zero_curvature(self, rule, values):
+        with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
+            select(rule, DensitySample(values), 0.0, EPA, L=MSE2)
+
     def test_density_dpi_zero_sd_is_zero_curvature(self):
         with pytest.raises(ZeroCurvatureError, match="standard deviation is zero"):
             select("dpi", DensitySample(np.ones(10)), 1.0, EPA, L=MSE2)
@@ -536,8 +543,10 @@ def _assert_same_as_reference(new, ref, values):
     """Equal outcomes, except that every rule raises ZeroCurvatureError for a
     sample without spread, where the reference returned NaN, flagged the
     choice invalid or failed in its own way."""
-    if values.size < 2 or float(np.std(values, ddof=1)) == 0.0:
+    if values.size < 2 or np.ptp(values) == 0:
         assert new[:2] == ("raises", "ZeroCurvatureError"), (new, ref)
+        if values.size > 1 and float(np.std(values, ddof=1)) > 0:
+            return  # the reference took roundoff for spread and returned its bandwidth
         assert ref[0] == "raises" or ref[1] == "nan" or "'invalid': True" in ref[3], (new, ref)
     else:
         assert new == ref

@@ -272,6 +272,18 @@ class TestRuleParity:
         assert error["error"] == "ZeroCurvatureError"
         assert "standard deviation is zero" in error["message"]
 
+    @pytest.mark.parametrize("x", ["0.03419276725318417", "0.1"])
+    def test_roundoff_spread_dpi_is_zero_curvature(self, x, tmp_path, capsys):
+        # eleven copies of this value have a sample std of 7.3e-18
+        path = tmp_path / "constant.csv"
+        path.write_text("x\n" + "0.03419276725318417\n" * 11)
+        argv = ["bw", "--data", str(path), "--x", x, "--method", "dpi", "--kappa", "4",
+                "--kernel", "minvar-order4", "--bias-kernel", "mseopt-order4"]
+        assert main(argv) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ZeroCurvatureError"
+        assert "standard deviation is zero" in error["message"]
+
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
         assert code == 1

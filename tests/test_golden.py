@@ -14,9 +14,10 @@ at rho = 0.3 (``-rho0.3``) were recorded before the kernel algebra was
 cached.  At rho = 1 every call asks for the same induced kernel, while
 b = h/0.3 gives h/b = 0.3 or 0.29999999999999993; each rho = 0.3 case
 is set up to meet the second value, so its results come from two cached
-induced kernels.  Another
-BLAS or libm may round differently; a deliberate change of results
-re-records them and explains the drift in CHANGES.md.
+induced kernels.  The three nearest-neighbor cases (``-nn``) were recorded
+while the NN weights still argsorted all n distances for every window
+row.  Another BLAS or libm may round differently; a deliberate change of
+results re-records them and explains the drift in CHANGES.md.
 """
 
 import hashlib
@@ -41,6 +42,7 @@ MC_DIGESTS = {
     "lpreg-fixed": "dfd733302dd17e68e683abb5b568136db6bda3f0bac77ae3ce8894428860338b",
     "lpreg-boundary-dpi": "c18a72f4e35cdb2a70c8b33d3e3d64c61fffd86f119b6d461d6d82e5e36d4907",
     "lpreg-boundary-rot": "bbc8e3951af7697f4ccdd60931540677a0d5b3bd1011ae51e48167a1ee8f6cdd",
+    "lpreg-dpi-nn": "1c2bafcc73472882c5404b52662408dfe316a26df9cd9bfdf83dbbf2920ad832",
 }
 
 CLI_DIGESTS = {
@@ -55,6 +57,8 @@ CLI_DIGESTS = {
     "lpreg-infer-mse": "27b6fd58ba7440579ddb96122657fe561fbc81c9374133a109ddaa2d938f6402",
     "lpreg-infer-fixed": "75192c5c36ff981579dcf63b2fff5a2ed5e2371577aa412abfa98d06e11e565d",
     "lpreg-infer-boundary-dpi": "20f630889749b47b74e6432d08eb5ae17e47ea8f0ed5fe394ecade162836906b",
+    "lpreg-infer-nn": "f7f214fc70ce2692c8e0d029a512968ec5092f75df52623238115448e6176452",
+    "lpreg-infer-nn-edge": "8fac5c10d6674cfd9eb15313eb432e44d6bd9ac3bf84f5eca5bfd7e0b1cc2365",
     "bw-density-dpi": "c9e6fe70f977c9838c90b6e0559206a87fd6a9a01fadf60b898cbb74ec6eb991",
     "bw-density-rot": "65084c9619b8775a13f9bd7507f9d4d94be19e207c88676201a3d6aced616f6b",
     "bw-density-mse": "be92f415d7428ce34241e2b5fc9d76592c7ce04fb402c9407e628e0a67ee6198",
@@ -73,7 +77,10 @@ CURVES_DIGESTS = {
 def mc_config(name) -> McConfig:
     estimator, _, rule = name.partition("-")
     rule, _, rho = rule.partition("-rho")
+    rule, nn, _ = rule.partition("-nn")
     settings = dict(estimator=estimator, n=200, replications=4, seed=11)
+    if nn:
+        settings.update(vce="nn")
     if rho:
         # replication 7 draws an h at x = 1.5 with h / (h / 0.3) = 0.29999999999999993
         settings.update(rho=float(rho), replications=8)
@@ -106,6 +113,12 @@ def cli_argv(name, density_csv, regression_csv) -> list:
         return argv + ["--h", "0.5"]
     if rule == "boundary-dpi":
         return [estimator, "infer", "--data", data, "--x", "-0.98", "--bw", "dpi", "--boundary"]
+    if rule == "nn":
+        # an interior window: [-0.1, 0.5] inside data on [-1, 1]
+        return argv + ["--h", "0.3", "--vce", "nn"]
+    if rule == "nn-edge":
+        # the DPI window at x = -0.98 crosses the data's left edge
+        return [estimator, "infer", "--data", data, "--x", "-0.98", "--bw", "dpi", "--vce", "nn"]
     return argv + ["--bw", rule]
 
 

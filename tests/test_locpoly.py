@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locpoly_reference import reference_lp_infer
+from locpoly_reference import reference_lp_infer, reference_nn_weights
 from npinfer import KernelSpec, kernel, locpoly
-from npinfer.errors import LeverageOneError, NpinferError, SingularDesignError
+from npinfer.errors import (
+    DegenerateSampleError,
+    LeverageOneError,
+    NpinferError,
+    SingularDesignError,
+)
 from npinfer.locpoly import (
     LocPolyFit,
     RegressionSample,
@@ -19,6 +24,7 @@ from npinfer.locpoly import (
     lp_residual_weights,
     lp_variance,
 )
+from npinfer.simulate import REGRESSION_MODELS, gen_regression_sample
 
 EPA = kernel("epanechnikov")
 HC3 = VarianceMethod("hc3")
@@ -198,6 +204,51 @@ class TestResidualWeights:
         # sorted sample is x=[0,0,0,1], y=[1,3,5,0]; the first obs (y=1)
         # takes the next tied observation (y=3) as its neighbor
         assert v[0] == pytest.approx(0.5 * (1.0 - 3.0) ** 2)
+
+    def test_nn_needs_more_than_J_observations(self):
+        s = RegressionSample([0.0, 0.1, 0.2], [1.0, 2.0, 0.0])
+        fit = lp_fit(s, 0.1, 0, 1.0, EPA)
+        with pytest.raises(DegenerateSampleError):
+            lp_residual_weights(fit, VarianceMethod("nn", nn_neighbors=3), s)
+
+    def test_only_nn_takes_a_window(self):
+        s = make_sample(np.random.default_rng(10), n=60, fn=np.sin)
+        fit = lp_fit(s, 0.0, 1, 0.3, EPA)
+        with pytest.raises(ValueError, match="window"):
+            lp_residual_weights(fit, HC3, s, window=fit.in_window)
+
+    @settings(max_examples=400)
+    @given(
+        data=st.data(),
+        n_extra=st.one_of(st.integers(1, 3), st.integers(4, 60)),
+        J=st.one_of(st.integers(1, 5), st.integers(6, 12)),
+        # grid covariates give long tie blocks on both sides of a row
+        spacing=st.sampled_from([0.0, 0.5, 0.1, None]),
+        where=st.sampled_from(["all", "low end", "high end", "middle", "random"]),
+    )
+    def test_nn_matches_argsort_loop_bit_for_bit(self, data, n_extra, J, spacing, where):
+        n = J + n_extra
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if spacing is None:
+            x = rng.standard_normal(n)
+        elif spacing == 0.0:
+            x = np.full(n, 0.1)
+        else:
+            x = rng.integers(-4, 5, n) * spacing + 0.03
+        s = RegressionSample(x, rng.standard_normal(n))
+        lo, hi = sorted(data.draw(st.integers(0, n)) for _ in range(2))
+        k = np.arange(n)
+        window = {
+            "all": k >= 0,
+            "low end": k < hi,
+            "high end": k >= lo,
+            "middle": (k >= lo) & (k < hi),
+            "random": rng.random(n) < 0.5,
+        }[where]
+        fit = lp_fit(s, 0.0, 0, 1e6, kernel("uniform"))  # any fit: the window replaces its own
+        got = lp_residual_weights(fit, VarianceMethod("nn", J), s, window=window)
+        want = reference_nn_weights(s, window, J)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestVariances:
@@ -393,21 +444,31 @@ class TestOnePass:
         assert [w.hex() for w in got.weights_rbc] == [w.hex() for w in want.weights_rbc]
         assert got.to_dict() == want.to_dict()
 
-    @pytest.mark.parametrize("rho,calls", [(1.0, 1), (2.0, 2)])
-    def test_nn_weights_once_on_a_shared_window(self, rho, calls, monkeypatch):
-        # at rho = 1 with K = L the p- and q-windows coincide and one NN pass
-        # serves both sandwiches; at rho = 2 the p-window is the wider one
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_nn_weights_once_on_a_shared_window(self, rho, monkeypatch):
+        # one NN pass over the union of the p- and q-windows serves both
+        # sandwiches, whichever window is the wider one
         kinds = []
         real = locpoly.lp_residual_weights
 
-        def counting(fit, method, sample):
+        def counting(fit, method, sample, **kwargs):
             kinds.append(method.kind)
-            return real(fit, method, sample)
+            return real(fit, method, sample, **kwargs)
 
         monkeypatch.setattr(locpoly, "lp_residual_weights", counting)
         s = make_sample(np.random.default_rng(24), n=200, fn=np.sin)
         lp_infer(s, 0.0, 1, 2, 0.4, 0.4 / rho, EPA, EPA, 0.05, VarianceMethod("nn", 3))
-        assert kinds == ["nn"] * calls
+        assert kinds == ["nn"]
+
+    def test_nn_rbc_sandwich_covers_the_p_window(self):
+        # at rho = 2 the RBC weights of the 103 p-window rows outside the
+        # q-window are the p-weights; their NN estimates enter se_rbc
+        s = gen_regression_sample(REGRESSION_MODELS[5], 500, np.random.default_rng(1))
+        res = lp_infer(s, 0.0, 1, 2, 0.4, 0.2, EPA, EPA, 0.05, VarianceMethod("nn", 3))
+        assert np.count_nonzero(res.fit_p.in_window & ~res.fit_q.in_window) == 103
+        v = reference_nn_weights(s, res.fit_p.in_window, 3)
+        assert res.se_rbc == pytest.approx(6.4166, abs=1e-4)
+        assert res.se_rbc == pytest.approx(np.sqrt(lp_variance(res.weights_rbc, v, 0.4)))
 
 
 def test_variance_method_parsing():
