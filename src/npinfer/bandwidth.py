@@ -11,9 +11,9 @@ coefficients depend only on the equivalent kernel (density case) or on
 estimable population moments (local polynomial case), and s is the order
 of the post-correction bias.  The selectors here estimate the unknown
 constants, minimize the absolute value of this three-term objective over
-a wide bracket (squaring it for speed), and rescale by the appropriate
-root of n.  When a pilot quantity degenerates the selectors fall back to
-the rule-of-thumb rescaling and flag the fallback in the diagnostics.
+a wide bracket in closed form, and rescale by the appropriate root of n.
+When a pilot quantity degenerates the selectors fall back to the
+rule-of-thumb rescaling and flag the fallback in the diagnostics.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "mse_bandwidth_lp",
     "dpi_bandwidth_lp",
     "minimize_ce_objective",
-    "pairwise_ustat_mean",
 ]
 
 
@@ -275,25 +274,42 @@ def rot_bandwidth(h_mse: float, context: str, order: int, n: int) -> BandwidthCh
 # one-dimensional coverage-error objective
 # ----------------------------------------------------------------------
 
-def minimize_ce_objective(coeffs, exponents, bracket) -> float:
-    """Minimize |a H^e1 + b H^e2 + c H^e3| over H in the bracket.
+def _ce_objective(coeffs, s, H):
+    """a H^-1 + b H^(1+2s) + c H^s at H (a float or an array)."""
+    a, b, c = coeffs
+    return a * H**-1 + b * H ** (1 + 2 * s) + c * H**s
 
-    Squares the objective, scans 200 log-spaced points, then refines with
-    golden-section search to 1e-6 relative width; ties break toward the
-    smaller H.  A scan minimum on a bracket edge raises
-    MonotoneObjectiveError (no interior optimum).
+
+def _positive_roots(A: float, B: float, C: float) -> list:
+    """The positive real roots of A t^2 + B t + C."""
+    if A == 0.0:
+        return [-C / B] if B != 0.0 and -C / B > 0 else []
+    disc = B * B - 4.0 * A * C
+    if disc < 0:
+        return []
+    # the two roots without cancellation; q = 0 only for a double root at 0
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return [t for t in (q / A, C / q) if t > 0] if q else []
+
+
+def minimize_ce_objective(coeffs, s, bracket) -> tuple[float, list]:
+    """Minimize |f(H)| = |a H^-1 + b H^(1+2s) + c H^s| over H in the bracket.
+
+    Returns H and the roots of f in the bracket, ascending.  A scan of 200
+    log-spaced points picks the basin: its minimum grid[i] on a bracket
+    edge raises MonotoneObjectiveError (no interior optimum).  The minimum
+    is then solved in closed form: with t = H^(1+s), H f(H) = b t^2 + c t
+    + a, and H^2 f'(H) = (1+2s) b t^2 + s c t - a.  Every root and
+    stationary point of f is a positive root of one of these quadratics;
+    the answer is the one of least |f| in [grid[i-1], grid[i+1]], the
+    smaller on a tie, or grid[i] if none lies there.
     """
-    a, b, c = (float(v) for v in coeffs)
-    e1, e2, e3 = (float(e) for e in exponents)
+    a, b, c = coeffs = tuple(float(v) for v in coeffs)
     lo, hi = (float(v) for v in bracket)
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-
-    def objective(H):
-        return (a * H**e1 + b * H**e2 + c * H**e3) ** 2
-
     grid = np.geomspace(lo, hi, 200)
-    vals = np.array([objective(H) for H in grid])
+    vals = np.abs(_ce_objective(coeffs, s, grid))
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective is not finite on the bracket")
     idx = int(np.argmin(vals))
@@ -301,26 +317,11 @@ def minimize_ce_objective(coeffs, exponents, bracket) -> float:
         raise MonotoneObjectiveError(
             "coverage-error objective has its scan minimum at a bracket edge"
         )
-
-    # golden-section refinement on the bracketing triple
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    xl, xr = grid[idx - 1], grid[idx + 1]
-    x1 = xr - invphi * (xr - xl)
-    x2 = xl + invphi * (xr - xl)
-    f1, f2 = objective(x1), objective(x2)
-    while (xr - xl) > 1e-6 * xr:
-        if f1 <= f2:  # ties move left, toward smaller H
-            xr, x2, f2 = x2, x1, f1
-            x1 = xr - invphi * (xr - xl)
-            f1 = objective(x1)
-        else:
-            xl, x1, f1 = x1, x2, f2
-            x2 = xl + invphi * (xr - xl)
-            f2 = objective(x2)
-    best = xl if objective(xl) <= objective(xr) else xr
-    if objective(grid[idx]) < objective(best):
-        best = grid[idx]
-    return float(best)
+    roots = sorted(t ** (1.0 / (1 + s)) for t in _positive_roots(b, c, a))
+    stationary = [t ** (1.0 / (1 + s)) for t in _positive_roots((1 + 2 * s) * b, s * c, -a)]
+    basin = sorted(H for H in roots + stationary if grid[idx - 1] <= H <= grid[idx + 1])
+    best = min(basin, key=lambda H: abs(_ce_objective(coeffs, s, H)), default=grid[idx])
+    return float(best), [H for H in roots if lo <= H <= hi]
 
 
 def _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag) -> float:
@@ -328,22 +329,23 @@ def _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag) -> float:
 
     H minimizes |q1 H^-1 + eta^2 q2 H^(1+2s) + eta q3 H^s| over
     [0.05, 20] * sigma_x, with eta the plug-in bias constant and s the order
-    of the post-correction bias.  The objective and H are recorded in
-    ``diag``.  Raises MonotoneObjectiveError, with the fallback reason as
-    its message, when the coefficients are not finite or the objective
-    has no interior minimum on the bracket.
+    of the post-correction bias.  The objective, H and the objective's
+    roots in the bracket (``H_candidates``) are recorded in ``diag``.
+    Raises MonotoneObjectiveError, with the fallback reason as its message,
+    when the coefficients are not finite or the objective has no interior
+    minimum on the bracket.
     """
     coeffs = (q1, eta**2 * q2, eta * q3)
     if not all(np.isfinite(coeffs)):
         raise MonotoneObjectiveError("non-finite objective coefficients")
-    exponents = (-1, 1 + 2 * s, s)
     diag["objective_coeffs"] = list(coeffs)
-    diag["objective_exponents"] = list(exponents)
+    diag["objective_exponents"] = [-1, 1 + 2 * s, s]
     try:
-        H = minimize_ce_objective(coeffs, exponents, (0.05 * sigma_x, 20.0 * sigma_x))
+        H, roots = minimize_ce_objective(coeffs, s, (0.05 * sigma_x, 20.0 * sigma_x))
     except MonotoneObjectiveError as exc:
         raise MonotoneObjectiveError("objective monotone on the search bracket") from exc
     diag["H"] = H
+    diag["H_candidates"] = roots
     return float(H * n ** (-1.0 / (s + 1)))
 
 
@@ -387,7 +389,7 @@ def dpi_bandwidth_density(
 
     Fixes rho = 1, estimates f^(kappa+2)(x) with a minimum-variance
     derivative kernel at its normal-reference pilot bandwidth, and
-    minimizes the squared three-term objective in H; the selected
+    minimizes the absolute three-term objective in H; the selected
     bandwidth is H * n^(-1/(kappa+3)).  Falls back to the "rot" rule, or
     Silverman's where that is undefined (flagged), when a pilot degenerates
     or the objective is monotone on the bracket; fewer than two
@@ -426,8 +428,7 @@ def dpi_bandwidth_density(
         value = _ce_optimal(polys.q1, polys.q2, polys.q3, eta, nu, sigma_x, n, diag)
     except MonotoneObjectiveError as exc:
         return _fallback(str(exc))
-    terms = zip(diag["objective_coeffs"], diag["objective_exponents"])
-    diag["objective_value"] = abs(sum(c * diag["H"] ** e for c, e in terms))
+    diag["objective_value"] = abs(_ce_objective(diag["objective_coeffs"], nu, diag["H"]))
     return BandwidthChoice(value=value, rule="dpi", diagnostics=diag)
 
 
@@ -533,16 +534,6 @@ def mse_bandwidth_lp(
 # ----------------------------------------------------------------------
 # local polynomial: direct plug-in
 # ----------------------------------------------------------------------
-
-def pairwise_ustat_mean(g: np.ndarray, h: np.ndarray) -> float:
-    """Mean of g_i * h_j over ordered pairs i != j."""
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n = g.size
-    if n < 2:
-        raise ValueError("need at least two observations")
-    return float((g.sum() * h.sum() - g @ h) / (n * (n - 1)))
-
 
 def _lambda_vector(fit: LocPolyFit, k: int) -> np.ndarray:
     """Design moment Lambda_{p,k} = R' W [u^(p+k)] / n from a fit."""
@@ -689,7 +680,7 @@ def dpi_bandwidth_lp(
     (1) MSE pilot bandwidth; (2) degree-p pilot residuals; (3) m^(p+2)
     and m^(p+3) from global polynomial fits; (4) plug-in coverage-error
     polynomials and bias constants from the pilot fits; (5) minimize the
-    squared objective and rescale by n^(-1/(p+4)) (interior) or
+    absolute objective and rescale by n^(-1/(p+4)) (interior) or
     n^(-1/(p+3)) (boundary).  Falls back to the "rot" rule, or to
     2.34 sd n^rate where that is undefined (flagged), when a pilot
     degenerates or the objective is monotone; a zero covariate sd raises

@@ -49,7 +49,7 @@ METHODS = ("US", "BC", "RBC")
 
 @dataclass(frozen=True, eq=False)
 class DensitySample:
-    """An i.i.d. univariate sample; observations must be finite.
+    """An i.i.d. univariate sample; observations and their range must be finite.
 
     Observations are stored sorted, which makes every downstream sum
     independent of the input ordering (permutation invariance holds
@@ -64,6 +64,8 @@ class DensitySample:
             raise DegenerateSampleError("sample must contain at least one observation")
         if not np.all(np.isfinite(obs)):
             raise ValueError("sample contains non-finite values")
+        if not math.isfinite(float(obs[-1]) - float(obs[0])):  # Python floats do not warn
+            raise ValueError("sample range overflows")
         object.__setattr__(self, "observations", obs)
 
     @property

@@ -46,7 +46,7 @@ class RegressionSample:
 
     The canonical ordering makes every downstream computation, including
     nearest-neighbor tie-breaking by observation index, invariant to the
-    order in which the data arrived.
+    order in which the data arrived.  Values and the covariate range must be finite.
     """
 
     x_values: np.ndarray
@@ -62,7 +62,10 @@ class RegressionSample:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("sample contains non-finite values")
         order = np.lexsort((y, x))
-        object.__setattr__(self, "x_values", x[order])
+        x = x[order]
+        if not math.isfinite(float(x[-1]) - float(x[0])):  # Python floats do not warn
+            raise ValueError("covariate range overflows")
+        object.__setattr__(self, "x_values", x)
         object.__setattr__(self, "y_values", y[order])
 
     @property

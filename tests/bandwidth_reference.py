@@ -1,11 +1,14 @@
 """The bandwidth selectors as they were before one spread check and one
-fallback rule served them all.
+fallback rule served them all, and the coverage-error minimizer as it was
+before its closed-form solve.
 
 Each density rule measures the sample's spread with its own inline
 ``np.std``; Silverman's rule flags a zero spread with an ``invalid``
 diagnostic that ``select`` and ``mse_bandwidth_lp`` translate into an
 error, and a one-observation sample yields NaN.  Each DPI selector restates
-the rule-of-thumb fallback itself.  The code is kept unchanged as the
+the rule-of-thumb fallback itself.  The minimizer takes generic exponents,
+scans 200 points of its squared objective and refines the scan minimum by
+golden-section search to 1e-6 relative width.  The code is kept unchanged as the
 oracle that ``npinfer.bandwidth`` is checked against; helpers that did not
 change are imported from it.
 """
@@ -35,6 +38,54 @@ from npinfer.density import DensitySample, density_derivative_estimate, density_
 from npinfer.errors import MonotoneObjectiveError, SingularDesignError, ZeroCurvatureError
 from npinfer.kernels import KernelSpec, induced_kernel, kernel, minvar_derivative_kernel
 from npinfer.locpoly import RegressionSample, lp_fit
+
+
+def minimize_ce_objective(coeffs, exponents, bracket) -> float:
+    """Minimize |a H^e1 + b H^e2 + c H^e3| over H in the bracket.
+
+    Squares the objective, scans 200 log-spaced points, then refines with
+    golden-section search to 1e-6 relative width; ties break toward the
+    smaller H.  A scan minimum on a bracket edge raises
+    MonotoneObjectiveError (no interior optimum).
+    """
+    a, b, c = (float(v) for v in coeffs)
+    e1, e2, e3 = (float(e) for e in exponents)
+    lo, hi = (float(v) for v in bracket)
+    if not (0 < lo < hi):
+        raise ValueError("bracket must satisfy 0 < lo < hi")
+
+    def objective(H):
+        return (a * H**e1 + b * H**e2 + c * H**e3) ** 2
+
+    grid = np.geomspace(lo, hi, 200)
+    vals = np.array([objective(H) for H in grid])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("objective is not finite on the bracket")
+    idx = int(np.argmin(vals))
+    if idx == 0 or idx == len(grid) - 1:
+        raise MonotoneObjectiveError(
+            "coverage-error objective has its scan minimum at a bracket edge"
+        )
+
+    # golden-section refinement on the bracketing triple
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    xl, xr = grid[idx - 1], grid[idx + 1]
+    x1 = xr - invphi * (xr - xl)
+    x2 = xl + invphi * (xr - xl)
+    f1, f2 = objective(x1), objective(x2)
+    while (xr - xl) > 1e-6 * xr:
+        if f1 <= f2:  # ties move left, toward smaller H
+            xr, x2, f2 = x2, x1, f1
+            x1 = xr - invphi * (xr - xl)
+            f1 = objective(x1)
+        else:
+            xl, x1, f1 = x1, x2, f2
+            x2 = xl + invphi * (xr - xl)
+            f2 = objective(x2)
+    best = xl if objective(xl) <= objective(xr) else xr
+    if objective(grid[idx]) < objective(best):
+        best = grid[idx]
+    return float(best)
 
 
 def mse_bandwidth_density_normal_ref(

@@ -24,7 +24,6 @@ from npinfer.bandwidth import (
     mse_bandwidth_density_reference,
     mse_bandwidth_lp,
     normal_reference_density_derivative,
-    pairwise_ustat_mean,
     population_mse_bandwidth_density,
     rot_bandwidth,
     select,
@@ -33,6 +32,7 @@ from npinfer.bandwidth import (
 )
 from npinfer.errors import MonotoneObjectiveError, ZeroCurvatureError
 from npinfer.locpoly import RegressionSample, lp_fit
+from npinfer.simulate import DENSITY_MODELS, gen_density_sample, replication_rng
 
 EPA = kernel("epanechnikov")
 MSE2 = kernel("mseopt-deriv2")
@@ -156,27 +156,85 @@ class TestSilvermanAndRot:
 
 class TestMinimizer:
     def test_symmetric_root(self):
-        H = minimize_ce_objective((1.0, -1.0, 0.0), (-1, 9, 4), (1e-2, 1e2))
-        assert H == pytest.approx(1.0, rel=1e-5)
+        H, roots = minimize_ce_objective((1.0, -1.0, 0.0), 4, (1e-2, 1e2))
+        assert H == pytest.approx(1.0, rel=1e-14)
+        assert roots == [H]
 
     def test_monotone_raises(self):
         with pytest.raises(MonotoneObjectiveError):
-            minimize_ce_objective((2.0, 0.0, 0.0), (-1, 9, 4), (1e-2, 1e2))
+            minimize_ce_objective((2.0, 0.0, 0.0), 4, (1e-2, 1e2))
 
     def test_stationary_point(self):
-        H = minimize_ce_objective((1.0, 1.0, 0.0), (-1, 9, 4), (1e-2, 1e2))
-        assert H == pytest.approx((1 / 9) ** 0.1, rel=1e-5)
+        H, roots = minimize_ce_objective((1.0, 1.0, 0.0), 4, (1e-2, 1e2))
+        assert H == pytest.approx((1 / 9) ** 0.1, rel=1e-14)
+        assert roots == []
 
     def test_beats_every_scanned_point(self):
         coeffs, exps = (0.73, -2.1, 0.4), (-1, 9, 4)
         lo, hi = 1e-2, 1e2
-        H = minimize_ce_objective(coeffs, exps, (lo, hi))
+        H, _roots = minimize_ce_objective(coeffs, 4, (lo, hi))
 
         def obj(v):
             return (coeffs[0] * v ** exps[0] + coeffs[1] * v ** exps[1] + coeffs[2] * v ** exps[2]) ** 2
 
         grid = np.geomspace(lo, hi, 200)
         assert obj(H) <= min(obj(v) for v in grid) + 1e-18
+
+    def test_least_objective_among_basin_candidates(self):
+        # roots at H = 1 and 1.01 and a stationary point between them lie in one basin
+        t1, t2 = 1.0, 1.01**5
+        H, roots = minimize_ce_objective((t1 * t2, 1.0, -(t1 + t2)), 4, (1e-2, 1e2))
+        assert roots == pytest.approx([1.0, 1.01], rel=1e-12)
+        assert H in roots
+
+    def test_far_apart_roots_without_cancellation(self):
+        t1, t2 = 0.1**5, 50.0**5
+        _H, roots = minimize_ce_objective((t1 * t2, 1.0, -(t1 + t2)), 4, (1e-2, 1e2))
+        assert roots == pytest.approx([0.1, 50.0], rel=1e-12)
+
+    def test_two_roots_the_scan_takes_the_larger(self):
+        # the reference density study (model 1, n=500), replication 0 at x = 1.0:
+        # the objective has roots 4.3503 and 5.0162, and the scan's basin is the second
+        s = gen_density_sample(DENSITY_MODELS[1], 500, replication_rng(1, 0))
+        diag = dpi_bandwidth_density(s, 1.0, EPA, MSE2, 2, 0.05).diagnostics
+        small, large = diag["H_candidates"]
+        assert small == pytest.approx(4.3503, abs=1e-4)
+        assert large == pytest.approx(5.0162, abs=1e-4)
+        assert diag["H"] == pytest.approx(large, rel=1e-12)
+
+    # zero or 1e-4 to 1e3 in magnitude: far smaller coefficients underflow in
+    # the oracle's squared scan, which then reads a flat objective as monotone
+    _coeff = st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-4, 3)),
+    )
+
+    @settings(max_examples=300)
+    @given(a=_coeff, b=_coeff, c=_coeff, s=st.integers(1, 6), scale=st.floats(0.1, 10.0))
+    def test_against_golden_section_oracle(self, a, b, c, s, scale):
+        bracket = (0.05 * scale, 20.0 * scale)
+
+        def outcome(solve):
+            try:
+                return solve()
+            except MonotoneObjectiveError:
+                return "monotone"
+
+        new = outcome(lambda: minimize_ce_objective((a, b, c), s, bracket))
+        old = outcome(
+            lambda: reference.minimize_ce_objective((a, b, c), (-1, 1 + 2 * s, s), bracket)
+        )
+        assert (new == "monotone") == (old == "monotone")
+        if old == "monotone":
+            return
+        H, roots = new
+        assert roots == sorted(roots)
+        assert all(bracket[0] <= r <= bracket[1] for r in roots)
+
+        def f(v):
+            return abs(a / v + b * v ** (1 + 2 * s) + c * v**s)
+
+        assert H == pytest.approx(old, rel=1e-6) or f(H) <= f(old) * (1 + 1e-12)
 
 
 class TestDensityDpi:
@@ -288,19 +346,6 @@ class TestLpDpi:
         x = rng.uniform(-1, 1, 200)
         bw = dpi_bandwidth_lp(RegressionSample(x, 3 * x + 1), 0.0, 1, False, EPA)
         assert bw.fallback
-
-    def test_pairwise_ustat_enumeration_oracle(self):
-        g = np.array([1.0, 2.0, -1.0, 0.5])
-        h = np.array([3.0, -2.0, 4.0, 1.0])
-        total = 0.0
-        count = 0
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    total += g[i] * h[j]
-                    count += 1
-        assert count == 12
-        assert pairwise_ustat_mean(g, h) == pytest.approx(total / count, rel=1e-14)
 
     def test_q_terms_against_bruteforce_loops(self):
         rng = np.random.default_rng(13)

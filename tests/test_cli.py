@@ -284,6 +284,19 @@ class TestRuleParity:
         assert error["error"] == "ZeroCurvatureError"
         assert "standard deviation is zero" in error["message"]
 
+    @pytest.mark.parametrize(
+        "estimator,table",
+        [("density", "x\n-1e308\n0\n1e308\n1.5e308\n"),
+         ("lpreg", "x,y\n-1e308,0\n0,1\n1e308,2\n1.5e308,3\n")],
+    )
+    def test_overflowing_range_exits_one(self, estimator, table, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(table)
+        assert main([estimator, "infer", "--data", str(path), "--x", "0", "--h", "1"]) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ValueError"
+        assert "range overflows" in error["message"]
+
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
         assert code == 1

@@ -70,6 +70,11 @@ class TestPointEstimate:
         assert a == a and a != b
         assert len({a, b}) == 2
 
+    def test_overflowing_range_rejected(self):
+        # each value is finite, but the spread a bandwidth rule measures is not
+        with pytest.raises(ValueError, match="range overflows"):
+            DensitySample([-1e308, 0.0, 1e308, 1.5e308])
+
 
 class TestBiasEstimate:
     def test_direct_substitution(self):

@@ -478,3 +478,10 @@ def test_variance_method_parsing():
         VarianceMethod("hc9")
     with pytest.raises(ValueError):
         VarianceMethod("nn", nn_neighbors=0)
+
+
+def test_overflowing_covariate_range_rejected():
+    # each value is finite, but 1.5e308 - (-1e308) is not, and nearest-neighbor
+    # distances would overflow
+    with pytest.raises(ValueError, match="range overflows"):
+        RegressionSample([-1e308, 0.0, 1e308, 1.5e308], [0.0, 1.0, 2.0, 3.0])
