@@ -22,7 +22,6 @@ from .kernels import (
     TruncatedSupport,
     custom_kernel,
     induced_kernel,
-    induced_kernel_M,
     kernel,
     kernel_names,
     minvar_derivative_kernel,

@@ -535,29 +535,22 @@ def mse_bandwidth_lp(
 # local polynomial: direct plug-in
 # ----------------------------------------------------------------------
 
-def _lambda_vector(fit: LocPolyFit, k: int) -> np.ndarray:
-    """Design moment Lambda_{p,k} = R' W [u^(p+k)] / n from a fit."""
-    m = fit.in_window
-    n = fit.u.size
-    w = fit.kvals[m] / fit.h
-    return fit.basis[m].T @ (w * fit.u[m] ** (fit.p + k)) / n
-
-
 def _edgeworth_q_hats(fit: LocPolyFit, eps: np.ndarray, z: float):
     """Sample analogues of the coverage-error polynomials from one fit.
 
     ``fit`` is the degree-q pilot fit (with the recommended q = p+1,
     K = L, rho = 1 the RBC polynomials equal the undersmoothing ones at
-    degree q); ``eps`` are the degree-p pilot residuals.  Expectations
-    over one observation become sample means; expectations over pairs and
-    triples become second- and third-order U-statistic averages over
-    distinct indices.  Conditional variances v(X_i) use the HC0 plug-in
+    degree q); ``eps`` are the degree-p pilot residuals on the same
+    window (the same kernel and bandwidth).  Expectations over one
+    observation become sample means; expectations over pairs and triples
+    become second- and third-order U-statistic averages over distinct
+    indices.  Conditional variances v(X_i) use the HC0 plug-in
     eps_i^2, under which the E[l0^4 (eps^4 - v^2)] term vanishes
     identically; it is kept for completeness.
 
     No pairwise matrix is formed.  l0 and K vanish outside the kernel
-    window, so only the n_w in-window rows r_i of the scaled basis R
-    enter, and every pair and triple sum is a bilinear form through the
+    window, so only the fit's n_w rows r_i of the scaled basis R enter,
+    and every pair and triple sum is a bilinear form through the
     (q+1) x (q+1) matrix G^-1.  With lev_i = r_i' G^-1 r_i and
     S_w = R' diag(w) R:
 
@@ -573,14 +566,13 @@ def _edgeworth_q_hats(fit: LocPolyFit, eps: np.ndarray, z: float):
 
     The cost is O(n_w (q+1)^2) time and O(n_w (q+1)) memory.
     """
-    n = fit.u.size
+    n = fit.n
     h = fit.h
-    win = fit.in_window
-    n_out = n - int(np.count_nonzero(win))  # observations outside the window
-    R = fit.basis[win]
-    kv = fit.kvals[win]
+    R = fit.basis
+    kv = fit.kvals
+    n_out = n - kv.size  # observations outside the fit's rows
     ginv = fit.g_inv
-    e = eps[win]
+    e = eps
     e2 = e**2
 
     l0 = kv * (R @ ginv[0])
@@ -727,17 +719,17 @@ def dpi_bandwidth_lp(
     diag["q_hats"] = {"q1": q1, "q2": q2, "q3": q3}
 
     # bias constants from the sampled design moments at the pilot bandwidth
-    lam_p1 = fit_p.Lambda1
-    lam_p2 = _lambda_vector(fit_p, 2)
+    lam_p1 = fit_p.Lambda(1)
+    lam_p2 = fit_p.Lambda(2)
     g0p = fit_p.g_inv[0]
     gq_row = fit_q.g_inv[p + 1]
-    lam_q1 = fit_q.Lambda1
+    lam_q1 = fit_q.Lambda(1)
     core2 = float(g0p @ (lam_p2 - lam_p1 * float(gq_row @ lam_q1)))
     if boundary_flag:
         eta = m_p2 / math.factorial(p + 2) * core2
     else:
-        lam_p3 = _lambda_vector(fit_p, 3)
-        lam_q2 = _lambda_vector(fit_q, 2)
+        lam_p3 = fit_p.Lambda(3)
+        lam_q2 = fit_q.Lambda(2)
         core3 = float(g0p @ (lam_p3 - lam_p1 * float(gq_row @ lam_q2)))
         eta = (
             m_p2 / math.factorial(p + 2) * core2

@@ -54,7 +54,6 @@ __all__ = [
     "custom_kernel",
     "kernel_names",
     "induced_kernel",
-    "induced_kernel_M",
     "derivative_part",
     "minvar_derivative_kernel",
 ]
@@ -484,14 +483,6 @@ def induced_kernel(K: KernelSpec, L: KernelSpec, kappa: int, rho: float) -> Kern
         kappa=K.kappa + 2,
         derivative_target=0,
     )
-
-
-def induced_kernel_M(K: KernelSpec, L: KernelSpec, kappa: int, rho: float, u) -> float:
-    """Pointwise value of the induced kernel M_rho."""
-    m = induced_kernel(K, L, kappa, rho)
-    if np.ndim(u) == 0:
-        return m(float(u))
-    return m.eval_many(np.asarray(u, dtype=float))
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ interior and boundary points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,24 +99,28 @@ class VarianceMethod:
 class LocPolyFit:
     """One kernel-weighted polynomial fit and its reusable pieces.
 
-    ``beta_hat`` is reported in the unscaled r_p(X_i - x) parameterization,
-    so ``beta_hat[0]`` is the point estimate and ``beta_hat[j] * j!``
-    estimates m^(j)(x).  ``G`` and ``Lambda1`` are the scaled design
-    moments G_p and Lambda_{p,1}; ``weights`` are the linear coefficients
-    of the point estimate (m_hat = weights @ Y).
+    The fit sees only its window: the rows i of the sorted sample with
+    lo <= (X_i - x)/h <= hi for the kernel's support [lo, hi], which form
+    the slice ``window`` of the sample's ``n`` rows (``effective_n`` of
+    them).  ``u``, ``kvals``, ``basis``, ``residuals`` and ``weights`` hold
+    one entry per window row; ``weights`` are the linear coefficients of
+    the point estimate, m_hat = weights @ Y[window].  ``beta_hat`` is
+    reported in the unscaled r_p(X_i - x) parameterization, so
+    ``beta_hat[0]`` is the point estimate and ``beta_hat[j] * j!``
+    estimates m^(j)(x).  ``G`` is the scaled Gram matrix G_p.
     """
 
     x: float
     p: int
     h: float
     kernel: KernelSpec
+    n: int
+    window: slice
     beta_hat: np.ndarray
     G: np.ndarray
-    Lambda1: np.ndarray
     effective_n: int
     residuals: np.ndarray
     weights: np.ndarray
-    in_window: np.ndarray
     rcond: float
     # scaled-basis internals reused by variance and bandwidth code
     u: np.ndarray
@@ -127,6 +132,10 @@ class LocPolyFit:
     @property
     def m_hat(self) -> float:
         return float(self.beta_hat[0])
+
+    def Lambda(self, k: int) -> np.ndarray:
+        """Design moment Lambda_{p,k} = R_p' W_p [u^(p+k)] / n."""
+        return self.basis.T @ (self.kvals / self.h * self.u ** (self.p + k)) / self.n
 
 
 def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) -> LocPolyFit:
@@ -145,20 +154,21 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         raise ValueError("p must be nonnegative")
     n = sample.n
     X, Y = sample.x_values, sample.y_values
+    # (X_i - x)/h does not decrease in i, so the support's rows are one slice
+    lo, hi = K.support
+    start = bisect_left(X, lo, key=lambda xi: (xi - x) / h)
+    window = slice(start, bisect_right(X, hi, lo=start, key=lambda xi: (xi - x) / h))
+    X, Y = X[window], Y[window]
     u = (X - x) / h
     kvals = K.eval_many(u)
-    lo, hi = K.support
-    inside = (u >= lo) & (u <= hi)
-    eff_n = int(np.count_nonzero(inside))
     # edge rows of the window carry zero kernel weight and identify nothing
-    distinct = np.unique(X[inside & (kvals != 0)]).size
+    distinct = np.unique(X[kvals != 0]).size
     if distinct < p + 1:
         raise SingularDesignError(
             f"only {distinct} distinct covariates inside the window at x={x} (need {p + 1})"
         )
     basis = np.vander(u, N=p + 1, increasing=True)
-    w = np.where(inside, kvals, 0.0) / h
-    Rw = basis * w[:, None]
+    Rw = basis * (kvals / h)[:, None]
     G = basis.T @ Rw / n
     G = 0.5 * (G + G.T)
 
@@ -171,28 +181,21 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     g_inv = cho_solve(factor, np.eye(p + 1))
 
     beta_scaled = g_inv @ (Rw.T @ Y) / n
-    beta = beta_scaled / h ** np.arange(p + 1)
-    fitted = basis @ beta_scaled
-    residuals = Y - fitted
-    lambda1 = basis.T @ (w * u ** (p + 1)) / n
-    weights = np.zeros(n)
-    weights[inside] = (basis[inside] @ g_inv[0]) * kvals[inside] / (n * h)
-
     return LocPolyFit(
         x=float(x),
         p=p,
         h=float(h),
         kernel=K,
-        beta_hat=beta,
+        n=n,
+        window=window,
+        beta_hat=beta_scaled / h ** np.arange(p + 1),
         G=G,
-        Lambda1=lambda1,
-        effective_n=eff_n,
-        residuals=residuals,
-        weights=weights,
-        in_window=inside,
+        effective_n=u.size,
+        residuals=Y - basis @ beta_scaled,
+        weights=(basis @ g_inv[0]) * kvals / (n * h),
         rcond=float(eig[0] / eig[-1]),
         u=u,
-        kvals=np.where(inside, kvals, 0.0),
+        kvals=kvals,
         basis=basis,
         g_inv=g_inv,
         beta_scaled=beta_scaled,
@@ -200,17 +203,26 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
 
 
 def _bias_parts(fit_p: LocPolyFit, fit_q: LocPolyFit):
-    """(c, s) with bias_hat = rho^(p+1) * c * (s @ Y), for a q-fit of degree q > p.
+    """(c, s) with bias_hat = rho^(p+1) * c * (s @ Y[fit_q.window]), for q > p.
 
-    c = e_0' G_p^-1 Lambda_p, and s holds the linear weights of
-    e_{p+1}' G_q^-1 R_q' W_q Y / n from the degree-q fit.
+    c = e_0' G_p^-1 Lambda_{p,1}, and s holds the linear weights of
+    e_{p+1}' G_q^-1 R_q' W_q Y / n from the degree-q fit, one per q-window row.
     """
-    p = fit_p.p
-    c = float(fit_p.g_inv[0] @ fit_p.Lambda1)
-    m = fit_q.in_window
-    s = np.zeros_like(fit_q.u)
-    s[m] = (fit_q.basis[m] @ fit_q.g_inv[p + 1]) * fit_q.kvals[m] / (fit_q.u.size * fit_q.h)
+    c = float(fit_p.g_inv[0] @ fit_p.Lambda(1))
+    s = (fit_q.basis @ fit_q.g_inv[fit_p.p + 1]) * fit_q.kvals / (fit_q.n * fit_q.h)
     return c, s
+
+
+def _within(rows: slice, window: slice) -> slice:
+    """The rows of the sample, counted from the start of a window that contains them."""
+    return slice(rows.start - window.start, rows.stop - window.start)
+
+
+def _spread(values: np.ndarray, rows: slice, window: slice) -> np.ndarray:
+    """Per-row values on rows, zeros on the rest of a window that contains them."""
+    out = np.zeros(window.stop - window.start)
+    out[_within(rows, window)] = values
+    return out
 
 
 def _nearest_neighbors(X: np.ndarray, rows: np.ndarray, J: int) -> np.ndarray:
@@ -255,80 +267,75 @@ def lp_residual_weights(
     fit: LocPolyFit,
     method: VarianceMethod,
     sample: RegressionSample,
-    window: np.ndarray | None = None,
+    window: slice | None = None,
 ) -> np.ndarray:
-    """Per-observation variance estimates v_hat(X_i) for the sandwich.
+    """Variance estimates v_hat(X_i) for the sandwich, one per window row.
 
     HC0 squares the fit's own residuals; HC1-HC3 rescale them by the
     leverage of the kernel-weighted projection Q = R G^-1 R' W / n
-    (restricted to in-window observations, with in-window counts in the
-    HC1 trace correction).  NN ignores the fit's residuals and uses the
-    J-nearest-neighbor difference estimate, J / (J + 1) times the squared
-    gap between Y_i and the mean of its J nearest neighbors (lowest index
-    first among equal distances), at O(n_w J) cost for n_w rows; NN alone
-    takes a boolean ``window`` of rows to fill in place of the fit's.
-    Out-of-window observations get zeros; they never touch the sandwich.
+    (with in-window counts in the HC1 trace correction).  NN ignores the
+    fit's residuals and uses the J-nearest-neighbor difference estimate,
+    J / (J + 1) times the squared gap between Y_i and the mean of its J
+    nearest neighbors among all n observations (lowest index first among
+    equal distances), at O(n_w J) cost for n_w rows; NN alone takes a
+    ``window`` of rows to estimate in place of the fit's.
     """
-    n = sample.n
-    m = fit.in_window
-    v = np.zeros(n)
+    n = fit.n
 
     if method.kind == "nn":
         J = method.nn_neighbors
         if n < J + 1:
             raise DegenerateSampleError(f"nearest-neighbor weights need n >= {J + 1}")
         X, Y = sample.x_values, sample.y_values
-        rows = np.flatnonzero(m if window is None else window)
+        window = fit.window if window is None else window
+        rows = np.arange(window.start, window.stop)
         pick = _nearest_neighbors(X, rows, J)
         # float_power rounds as a scalar ** 2 (C pow) does; an array ** 2 can differ in the last bit
-        v[rows] = J / (J + 1) * np.float_power(Y[rows] - Y[pick].mean(axis=1), 2)
-        return v
+        return J / (J + 1) * np.float_power(Y[rows] - Y[pick].mean(axis=1), 2)
     if window is not None:
         raise ValueError("only nearest-neighbor weights take a window")
 
-    res2 = fit.residuals[m] ** 2
+    res2 = fit.residuals**2
     if method.kind == "hc0":
-        v[m] = res2
-        return v
+        return res2
 
-    lev = np.einsum(
-        "ij,jk,ik->i", fit.basis[m], fit.g_inv, fit.basis[m]
-    ) * fit.kvals[m] / (n * fit.h)
+    R = fit.basis
+    lev = np.einsum("ij,jk,ik->i", R, fit.g_inv, R) * fit.kvals / (n * fit.h)
     if method.kind == "hc1":
         n_in = fit.effective_n
-        A = fit.basis[m].T @ fit.basis[m]
-        t2 = fit.g_inv @ A @ fit.g_inv
-        scale = (fit.kvals[m] / (n * fit.h)) ** 2
-        tr_qq = float(np.einsum("ij,jk,ik->i", fit.basis[m], t2, fit.basis[m]) @ scale)
+        t2 = fit.g_inv @ (R.T @ R) @ fit.g_inv
+        scale = (fit.kvals / (n * fit.h)) ** 2
+        tr_qq = float(np.einsum("ij,jk,ik->i", R, t2, R) @ scale)
         divisor = (n_in - 2.0 * lev.sum() + tr_qq) / n_in
         if divisor <= 0:
             raise LeverageOneError("HC1 trace correction is nonpositive; window too small")
-        v[m] = res2 / divisor
-        return v
+        return res2 / divisor
 
     if np.any(lev >= 1.0 - 1e-12):
         raise LeverageOneError(
             "a leverage value reached one under HC2/HC3; enlarge the bandwidth"
         )
     if method.kind == "hc2":
-        v[m] = res2 / (1.0 - lev)
-    else:  # hc3
-        v[m] = res2 / (1.0 - lev) ** 2
-    return v
+        return res2 / (1.0 - lev)
+    return res2 / (1.0 - lev) ** 2  # hc3
 
 
-def lp_variance(weights: np.ndarray, v_hats: np.ndarray, h: float) -> float:
-    """Fixed-n sandwich (nh) V[weights @ Y | X] with Sigma replaced by diag(v_hats)."""
-    return float(weights.size * h * np.sum(weights**2 * v_hats))
+def lp_variance(weights: np.ndarray, v_hats: np.ndarray, n: int, h: float) -> float:
+    """Fixed-n sandwich (nh) V[weights @ Y | X] with Sigma replaced by diag(v_hats).
+
+    ``weights`` and ``v_hats`` cover the same rows of a sample of n observations.
+    """
+    return float(n * h * np.sum(weights**2 * v_hats))
 
 
 @dataclass(frozen=True, eq=False)
 class LocPolyInference(IntervalTriple):
     """Point estimates, bias correction, and the three intervals at x.
 
-    ``weights_rbc`` are the linear coefficients of the bias-corrected
-    estimate (m_hat - bias_hat = weights_rbc @ Y) that Studentize the RBC
-    interval.
+    ``window`` is the smallest slice of rows that covers the p- and
+    q-windows, and ``weights_rbc`` are the linear coefficients of the
+    bias-corrected estimate on it (m_hat - bias_hat = weights_rbc @
+    Y[window]) that Studentize the RBC interval.
     """
 
     fit_p: LocPolyFit
@@ -339,6 +346,7 @@ class LocPolyInference(IntervalTriple):
     se_us: float
     se_rbc: float
     weights_rbc: np.ndarray
+    window: slice
     intervals: tuple
     boundary_flag: bool
     degenerate: bool
@@ -390,22 +398,27 @@ def lp_infer(
 
     c, s = _bias_parts(fit_p, fit_q)
     k = rho ** (p + 1) * c
-    bias_hat = k * float(s @ sample.y_values)
-    weights_rbc = fit_p.weights - k * s
+    bias_hat = k * float(s @ sample.y_values[fit_q.window])
+    # the RBC weights reach over both windows: the smallest slice that holds them
+    window = slice(
+        min(fit_p.window.start, fit_q.window.start), max(fit_p.window.stop, fit_q.window.stop)
+    )
+    weights_rbc = _spread(fit_p.weights, fit_p.window, window) - k * _spread(
+        s, fit_q.window, window
+    )
     if method.kind == "nn":
-        # NN estimates depend on a fit only through its window.  The RBC
-        # weights reach over both windows; the p-weights vanish outside the
-        # p-window, so the US sandwich sees only the p-window's estimates.
-        union = fit_p.in_window | fit_q.in_window
-        v_p = v_q = lp_residual_weights(fit_q, method, sample, window=union)
+        # NN estimates depend on a fit only through its rows: one pass
+        # covers both windows, and the US sandwich takes the p-window's part
+        v_q = lp_residual_weights(fit_q, method, sample, window=window)
+        v_p = v_q[_within(fit_p.window, window)]
     else:
         v_p = lp_residual_weights(fit_p, method, sample)
-        v_q = lp_residual_weights(fit_q, method, sample)
-    var_us = lp_variance(fit_p.weights, v_p, fit_p.h)
-    var_rbc = lp_variance(weights_rbc, v_q, fit_p.h)
+        v_q = _spread(lp_residual_weights(fit_q, method, sample), fit_q.window, window)
+    var_us = lp_variance(fit_p.weights, v_p, sample.n, fit_p.h)
+    var_rbc = lp_variance(weights_rbc, v_q, sample.n, fit_p.h)
     # residuals from an exactly reproduced polynomial are pure roundoff;
     # snap the resulting variances to zero so such fits report as degenerate
-    y_scale = max(1.0, float(np.max(np.abs(sample.y_values[fit_p.in_window]), initial=0.0)))
+    y_scale = max(1.0, float(np.max(np.abs(sample.y_values[fit_p.window]), initial=0.0)))
     floor = (1e-12 * y_scale) ** 2
     if var_us < floor:
         var_us = 0.0
@@ -426,6 +439,7 @@ def lp_infer(
         se_us=se_us,
         se_rbc=se_rbc,
         weights_rbc=weights_rbc,
+        window=window,
         intervals=intervals,
         boundary_flag=boundary,
         degenerate=(se_us == 0.0 or se_rbc == 0.0),

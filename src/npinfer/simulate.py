@@ -235,6 +235,8 @@ class McConfig:
             _config_checked(kernel, self.bias_kernel_name)
         if self.estimator == "lpreg":
             _config_checked(VarianceMethod, self.vce, self.nn_neighbors)
+        if not math.isfinite(self.rho):
+            raise ConfigError(f"rho must be finite, got {self.rho!r}")
         if self.estimator == "density" and (self.rho > 0 or self.bw_rule == "dpi"):
             # the bias kernel's kappa-th derivative enters the bias estimate
             # and the induced kernel; rho = 0 without DPI never forms it

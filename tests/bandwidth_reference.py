@@ -28,7 +28,6 @@ from npinfer.bandwidth import (
     _derivative_pilot_bandwidth,
     _edgeworth_q_hats,
     _flagged,
-    _lambda_vector,
     _lp_kernel_constants,
     coverage_polys_density,
     mse_bandwidth_density_reference,
@@ -264,6 +263,7 @@ def dpi_bandwidth_lp(
     boundary_flag: bool,
     K: KernelSpec,
     alpha: float = 0.05,
+    fit=lp_fit,
 ) -> BandwidthChoice:
     """Direct plug-in coverage-error-optimal bandwidth for RBC local polynomials.
 
@@ -274,7 +274,9 @@ def dpi_bandwidth_lp(
     squared objective and rescale by n^(-1/(p+4)) (interior) or
     n^(-1/(p+3)) (boundary).  Falls back to the rule-of-thumb rescaling
     (flagged) when a pilot degenerates or the objective is monotone; a
-    zero covariate sd raises ZeroCurvatureError.
+    zero covariate sd raises ZeroCurvatureError.  The pilot fits come from
+    ``fit``: ``lp_fit``, or ``whole_sample_lp_fit`` of
+    ``tests/locpoly_reference.py`` for the whole-sample arithmetic.
     """
     n = sample.n
     q = p + 1
@@ -299,8 +301,8 @@ def dpi_bandwidth_lp(
         return _flagged(rot.value, reason, diag, rot.diagnostics)
 
     try:
-        fit_p = lp_fit(sample, x, p, h_mse.value, K)
-        fit_q = lp_fit(sample, x, q, h_mse.value, K)
+        fit_p = fit(sample, x, p, h_mse.value, K)
+        fit_q = fit(sample, x, q, h_mse.value, K)
     except SingularDesignError as exc:
         return _rot_fallback(f"pilot fit failed: {exc}")
     eps = fit_p.residuals
@@ -319,17 +321,17 @@ def dpi_bandwidth_lp(
     diag["q_hats"] = {"q1": q1, "q2": q2, "q3": q3}
 
     # bias constants from the sampled design moments at the pilot bandwidth
-    lam_p1 = fit_p.Lambda1
-    lam_p2 = _lambda_vector(fit_p, 2)
+    lam_p1 = fit_p.Lambda(1)
+    lam_p2 = fit_p.Lambda(2)
     g0p = fit_p.g_inv[0]
     gq_row = fit_q.g_inv[p + 1]
-    lam_q1 = fit_q.Lambda1
+    lam_q1 = fit_q.Lambda(1)
     core2 = float(g0p @ (lam_p2 - lam_p1 * float(gq_row @ lam_q1)))
     if boundary_flag:
         eta = m_p2 / math.factorial(p + 2) * core2
     else:
-        lam_p3 = _lambda_vector(fit_p, 3)
-        lam_q2 = _lambda_vector(fit_q, 2)
+        lam_p3 = fit_p.Lambda(3)
+        lam_q2 = fit_q.Lambda(2)
         core3 = float(g0p @ (lam_p3 - lam_p1 * float(gq_row @ lam_q2)))
         eta = (
             m_p2 / math.factorial(p + 2) * core2

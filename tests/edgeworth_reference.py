@@ -4,7 +4,10 @@ This is the pairwise-matrix implementation that ``npinfer.bandwidth``
 used before the pilot was rewritten as bilinear forms through G^-1.  It
 forms the n x n matrices B = R G^-1 R', C, C**2, bmat and L1 over the
 whole sample, so it is slow and memory-hungry, and it serves only as the
-oracle that the linear-time pilot is checked against.
+oracle that the linear-time pilot is checked against.  It first scatters
+the fit's window rows back into n rows, zero outside the window: its A11
+and A12 terms count the observations outside the window through the
+centred g_j = l0_j^2 e_j^2 - E[l0^2 v], which there is -E[l0^2 v].
 """
 
 from __future__ import annotations
@@ -14,23 +17,31 @@ import numpy as np
 from npinfer.locpoly import LocPolyFit
 
 
+def whole_sample_rows(fit: LocPolyFit, eps: np.ndarray):
+    """The fit's scaled basis, kernel values and residuals ``eps`` as n rows, zero off-window."""
+    R = np.zeros((fit.n, fit.p + 1))
+    kv, e = np.zeros(fit.n), np.zeros(fit.n)
+    R[fit.window], kv[fit.window], e[fit.window] = fit.basis, fit.kvals, eps
+    return R, kv, e
+
+
 def dense_edgeworth_q_hats(fit: LocPolyFit, eps: np.ndarray, z: float):
     """Sample analogues of the coverage-error polynomials from one fit.
 
     ``fit`` is the degree-q pilot fit (with the recommended q = p+1,
     K = L, rho = 1 the RBC polynomials equal the undersmoothing ones at
-    degree q); ``eps`` are the degree-p pilot residuals.  Expectations
-    over one observation become sample means; expectations over pairs and
-    triples become second- and third-order U-statistic averages over
-    distinct indices (the triple sum in factorized O(n^2) form).
+    degree q); ``eps`` are the degree-p pilot residuals on its window.
+    Expectations over one observation become sample means; expectations
+    over pairs and triples become second- and third-order U-statistic
+    averages over distinct indices (the triple sum in factorized O(n^2)
+    form).
     Conditional variances v(X_i) use the HC0 plug-in eps_i^2, under which
     the E[l0^4 (eps^4 - v^2)] term vanishes identically; it is kept for
     completeness.
     """
-    n = fit.u.size
+    n = fit.n
     h = fit.h
-    R = fit.basis
-    kv = fit.kvals  # zero off-window
+    R, kv, eps = whole_sample_rows(fit, eps)
     ginv = fit.g_inv
     e2 = eps**2
 

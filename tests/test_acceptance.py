@@ -17,7 +17,7 @@ from npinfer import (
     density_infer,
     gj_density_estimate,
     gj_equivalent_kernel,
-    induced_kernel_M,
+    induced_kernel,
     kernel,
 )
 from npinfer.bandwidth import (
@@ -56,7 +56,7 @@ def report(num, passed, detail, t0, capsys=None):
 def test_criterion_1_kernel_algebra_identity(capsys):
     t0 = time.time()
     u = np.linspace(-1.0, 1.0, 1001)
-    vals = induced_kernel_M(UNI, MVD2, 2, 1.0, u)
+    vals = induced_kernel(UNI, MVD2, 2, 1.0).eval_many(u)
     target = 0.375 * (3.0 - 5.0 * u**2)
     err = float(np.max(np.abs(vals - target)))
     report(1, err < 1e-12, f"max abs error {err:.2e} vs (3/8)(3-5u^2)", t0, capsys)
@@ -124,8 +124,8 @@ def test_criterion_4_remark7_collapse(capsys):
             worst_point, abs(rbc_point - fit_q.m_hat) / max(1e-12, abs(fit_q.m_hat))
         )
         v_q = lp_residual_weights(fit_q, HC3, s)
-        var_rbc = lp_variance(res.weights_rbc, v_q, h)
-        var_q = lp_variance(fit_q.weights, v_q, h)
+        var_rbc = lp_variance(res.weights_rbc, v_q, n, h)
+        var_q = lp_variance(fit_q.weights, v_q, n, h)
         worst_var = max(worst_var, abs(var_rbc - var_q) / max(1e-12, var_q))
     ok = worst_point < 1e-10 and worst_var < 1e-10
     report(
@@ -213,10 +213,10 @@ def test_criterion_7_variance_oracle(capsys):
     w_us = res.fit_p.weights
     w_rbc = res.weights_rbc
     draws = rng.standard_normal((redraws, n)) * sd
-    mc_us = n * h * np.var(draws @ w_us, ddof=1)
-    mc_rbc = n * h * np.var(draws @ w_rbc, ddof=1)
-    pop_us = lp_variance(w_us, sd**2, h)
-    pop_rbc = lp_variance(w_rbc, sd**2, h)
+    mc_us = n * h * np.var(draws[:, res.fit_p.window] @ w_us, ddof=1)
+    mc_rbc = n * h * np.var(draws[:, res.window] @ w_rbc, ddof=1)
+    pop_us = lp_variance(w_us, sd[res.fit_p.window] ** 2, n, h)
+    pop_rbc = lp_variance(w_rbc, sd[res.window] ** 2, n, h)
     rel_us = abs(mc_us - pop_us) / pop_us
     rel_rbc = abs(mc_rbc - pop_rbc) / pop_rbc
     report(

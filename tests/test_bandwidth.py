@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import bandwidth_reference as reference
+from edgeworth_reference import whole_sample_rows
+from locpoly_reference import whole_sample_lp_fit
 from npinfer import DensitySample, induced_kernel, kernel
 from npinfer import bandwidth
 from npinfer.bandwidth import (
@@ -32,7 +34,13 @@ from npinfer.bandwidth import (
 )
 from npinfer.errors import MonotoneObjectiveError, ZeroCurvatureError
 from npinfer.locpoly import RegressionSample, lp_fit
-from npinfer.simulate import DENSITY_MODELS, gen_density_sample, replication_rng
+from npinfer.simulate import (
+    DENSITY_MODELS,
+    REGRESSION_MODELS,
+    gen_density_sample,
+    gen_regression_sample,
+    replication_rng,
+)
 
 EPA = kernel("epanechnikov")
 MSE2 = kernel("mseopt-deriv2")
@@ -355,11 +363,12 @@ class TestLpDpi:
         s = RegressionSample(x, y)
         h = 0.8
         fit = lp_fit(s, 0.0, 2, h, EPA)
-        eps = s.y_values - fit.basis @ fit.beta_scaled
         z = 1.959963984540054
-        q1, q2, q3, terms = _edgeworth_q_hats(fit, eps, z)
+        q1, q2, q3, terms = _edgeworth_q_hats(fit, fit.residuals, z)
 
-        R, kv, ginv = fit.basis, fit.kvals, fit.g_inv
+        # the loops run over all n observations, zero outside the window
+        R, kv, eps = whole_sample_rows(fit, fit.residuals)
+        ginv = fit.g_inv
         e0 = np.zeros(fit.p + 1)
         e0[0] = 1.0
         abar = sum(kv[j] * np.outer(R[j], R[j]) for j in range(n)) / n
@@ -445,6 +454,22 @@ class TestLpDpi:
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
         q25, q75 = np.percentile(vals, [25, 75])
         assert 0 < q25 < q75 < 2.0  # strictly inside (0, range of X)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("x0,boundary", [(0.0, False), (0.5, False), (-1.0, True), (1.0, True)])
+    def test_whole_sample_pilot_fits_agree_within_rounding(self, seed, p, x0, boundary):
+        # the reference selector on fits that sum over all n rows with zeros
+        # outside the window (tests/locpoly_reference.py); an even p has no
+        # interior MSE pilot, so it would only test the fallback
+        s = gen_regression_sample(REGRESSION_MODELS[5], 400, np.random.default_rng(seed))
+        got = dpi_bandwidth_lp(s, x0, p, boundary, EPA)
+        want = reference.dpi_bandwidth_lp(s, x0, p, boundary, EPA, fit=whole_sample_lp_fit)
+        assert not got.fallback and not want.fallback
+        # rounding differences grow with the condition of the degree-(p+1)
+        # pilot: its rcond is about 2e-6 for p = 3 at the boundary, 1e-3 for p = 1
+        rcond = lp_fit(s, x0, p + 1, got.diagnostics["h_mse"], EPA).rcond
+        assert got.value == pytest.approx(want.value, rel=max(1e-12, 1e-15 / rcond), abs=0)
 
 
 def _density_sample():

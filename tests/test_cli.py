@@ -297,6 +297,20 @@ class TestRuleParity:
         assert error["error"] == "ValueError"
         assert "range overflows" in error["message"]
 
+    @pytest.mark.parametrize("estimator,model", [("density", "1"), ("lpreg", "5")])
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_sim_non_finite_rho_is_config_error(self, estimator, model, rho, monkeypatch, capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "_one_replication", must_not_run)
+        code = main(["sim", estimator, "--model", model, "--n", "60", "--reps", "2",
+                     "--points", "0", "--workers", "1", "--rho", rho])
+        assert code == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ConfigError"
+        assert "rho must be finite" in error["message"]
+
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
         assert code == 1

@@ -7,8 +7,14 @@ diagnostics dict with the values recorded before the two selectors
 shared one coverage-error solve.  The two ``ok`` cases were re-recorded
 when that solve became closed form: H moved by 3.9e-7 (density) and
 4.0e-7 (lp) relative, the golden-section search's error, and the
-diagnostics gained ``H_candidates``, the objective's roots in the bracket.  Reasons no data set reaches cheaply are
-forced by patching the stage that fails.
+diagnostics gained ``H_candidates``, the objective's roots in the
+bracket.  The four cases that reach the Edgeworth pilot (``lp-ok``,
+``lp-monotone``, ``lp-non-finite`` and ``lp-bias-constant``) were
+re-recorded when the pilot fits began to sum over their window alone:
+``q_hats``, ``eta_bc`` and the objective coefficients moved by at most
+2.7e-14 relative and the ``lp-ok`` H and h by less than 5e-16, the
+rounding of sums grouped differently.  Reasons no data set reaches cheaply are forced by patching
+the stage that fails.
 """
 
 import math
@@ -156,7 +162,7 @@ PINS = {
     ),
     'lp-bias-constant': (
         '0x1.4129f692673a4p-2',
-        {'boundary': False, 'h_mse': 0.31363663929533403, 'q_hats': {'q1': 6366.102563753773, 'q2': -12.47530870268997, 'q3': -696.7924735840191}, 'eta_bc': -1.2889048086013237e-16, 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'plug-in bias constant vanished'},
+        {'boundary': False, 'h_mse': 0.31363663929533403, 'q_hats': {'q1': 6366.102563753769, 'q2': -12.47530870268997, 'q3': -696.7924735840189}, 'eta_bc': -1.2889048086013241e-16, 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'plug-in bias constant vanished'},
     ),
     'lp-global-pilot': (
         '0x1.2dd375400e275p+0',
@@ -164,7 +170,7 @@ PINS = {
     ),
     'lp-monotone': (
         '0x1.222d31a6abcebp-1',
-        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': 22.975692056821103, 'q2': -2.9341844063930766, 'q3': 0.7059788923362297}, 'eta_bc': 0.027569629593728804, 'objective_coeffs': [22.975692056821103, -0.002230228016831125, 0.0194635765627008], 'objective_exponents': [-1, 9, 4], 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'objective monotone on the search bracket'},
+        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': 22.97569205682113, 'q2': -2.9341844063930766, 'q3': 0.7059788923362129}, 'eta_bc': 0.02756962959372873, 'objective_coeffs': [22.97569205682113, -0.0022302280168311132, 0.019463576562700285], 'objective_exponents': [-1, 9, 4], 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'objective monotone on the search bracket'},
     ),
     'lp-mse-pilot': (
         '0x1.fcd3b1df571e3p-2',
@@ -172,11 +178,11 @@ PINS = {
     ),
     'lp-non-finite': (
         '0x1.222d31a6abcebp-1',
-        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': inf, 'q2': -2.9341844063930766, 'q3': 0.7059788923362297}, 'eta_bc': 0.027569629593728804, 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'non-finite objective coefficients'},
+        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': inf, 'q2': -2.9341844063930766, 'q3': 0.7059788923362129}, 'eta_bc': 0.02756962959372873, 'exponent': 0.0, 'context': 'lp-interior', 'fallback': True, 'fallback_reason': 'non-finite objective coefficients'},
     ),
     'lp-ok': (
-        '0x1.9fc96bbf21e49p-1',
-        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': 22.975692056821103, 'q2': -2.9341844063930766, 'q3': 0.7059788923362297}, 'eta_bc': 0.027569629593728804, 'objective_coeffs': [22.975692056821103, -0.002230228016831125, 0.0194635765627008], 'objective_exponents': [-1, 9, 4], 'H': 2.54111890949308, 'H_candidates': [2.54111890949308]},
+        '0x1.9fc96bbf21e4cp-1',
+        {'boundary': False, 'h_mse': 0.5667510524707756, 'q_hats': {'q1': 22.97569205682113, 'q2': -2.9341844063930766, 'q3': 0.7059788923362129}, 'eta_bc': 0.02756962959372873, 'objective_coeffs': [22.97569205682113, -0.0022302280168311132, 0.019463576562700285], 'objective_exponents': [-1, 9, 4], 'H': 2.541118909493081, 'H_candidates': [2.541118909493081]},
     ),
     'lp-pilot-fit': (
         '0x1.6b5756251bc6bp-22',

@@ -26,7 +26,7 @@ def pilot_cases(draw):
 
     The bandwidth puts the k nearest covariates in the window, for k from
     q + 2 up to the whole sample (and beyond, for k = n).  The residuals
-    come from the whole sample, so they are nonzero outside the window.
+    come from the degree-(q-1) fit on the same window.
     """
     n = draw(st.integers(30, 400))
     q = draw(st.sampled_from([2, 3]))

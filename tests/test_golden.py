@@ -22,6 +22,14 @@ among them, and the ``sim`` curves) were re-recorded when the
 coverage-error objective was first solved in closed form rather than by
 golden-section search to 1e-6 relative width: their bandwidths moved by
 less than 1e-6 relative and the DPI diagnostics gained ``H_candidates``.
+The seventeen local polynomial cases whose fits feed the output (every
+``lpreg`` MC case, every ``lpreg-infer`` CLI case, ``bw-lpreg-dpi`` and
+both curves) were re-recorded when ``lp_fit`` began to sum over its
+window's n_w rows instead of all n rows with zeros outside the window.
+The sums group their terms differently, so the results moved in the last
+bits: bandwidths by at most 3.6e-14 relative, every other figure by at
+most 3.5e-13 relative, and coverage, counts and fallback flags not at
+all.  ``bw-lpreg-mse`` and ``bw-lpreg-rot`` use no local fit and held.
 Another BLAS or libm may round differently; a deliberate change of
 results re-records them and explains the drift in CHANGES.md.
 """
@@ -42,13 +50,13 @@ MC_DIGESTS = {
     "density-silverman": "a075ea67c7d9979ff0ea200f31b0ce63a2378408bb61bdca2c2c7ad22a4ede5c",
     "density-fixed": "4dc43f0bf640e333641c1e893e1808e8744e4b3be6c3c9a13ac84ab3e3d61f7c",
     "density-dpi-rho0.3": "7dcaa8716d2cca52718bf6939f91fa0383b88af68b61671c29fd90e2740de6ed",
-    "lpreg-dpi": "0888232329705fe5d5f86f9f42d7ad1aa15c6835acd9b902392881509e5cbbaf",
-    "lpreg-rot": "6d95390ae40de5fbb969de57c2f84e33185431812ab3c90659d000692c399f00",
-    "lpreg-mse": "4dcb7fe081629896c45b56e36be1444400b79459e2cd7d46efa2df2dc5de319d",
-    "lpreg-fixed": "dfd733302dd17e68e683abb5b568136db6bda3f0bac77ae3ce8894428860338b",
-    "lpreg-boundary-dpi": "7b95418cb8d4bee0029f93f59dd1398672fc7aeb66a164783d65373538c19806",
-    "lpreg-boundary-rot": "bbc8e3951af7697f4ccdd60931540677a0d5b3bd1011ae51e48167a1ee8f6cdd",
-    "lpreg-dpi-nn": "9ffd061f5b9499871909c73bfcb7d4320d0a5a2088ebd2097d6ca8540699cfec",
+    "lpreg-dpi": "71a6f84d1ef13792326989d083e26e9fc58b79a0fa947f36e7f91eab6ff506e3",
+    "lpreg-rot": "2a803e97a0e7b380429154128de3cb355c9d487416365208abc7ca52a0243793",
+    "lpreg-mse": "07ef266fa0656d9932ba88c0167561b2cd2dd408bf594fdca9d3bc6640b0a977",
+    "lpreg-fixed": "e5956bf9fb0bd882e877dd75caf964864a15e37553bc1b535c397b8c19e68c8a",
+    "lpreg-boundary-dpi": "4d022659a80b97f48bcfaa1e958ce33b66504b706faa2491267b3ee5f00f5639",
+    "lpreg-boundary-rot": "778b75dbd19cc936de242fea3087d09e8c1e07f9748bcd645768ea31c03af117",
+    "lpreg-dpi-nn": "36bce316c3bc78dd13ed72d01ef04fe0fc9edd193253ca706dc7775ee9ddf1ed",
 }
 
 CLI_DIGESTS = {
@@ -58,25 +66,25 @@ CLI_DIGESTS = {
     "density-infer-silverman": "72cdc3ca663538d666798ab1e8c2842e66695f38825da3ac0463372b170abe07",
     "density-infer-fixed": "5ba5734a3a8810d84f0124c7fa7a5819af773f29a51e9c9f768723f7259b2ec3",
     "density-infer-dpi-rho0.3": "671af37687544057b04a619e5eee6b1970394c8df1043549bc22666f63f5ec10",
-    "lpreg-infer-dpi": "ce2fb17627b94e870c3d4ccd675c07cdf7b4b126f87f70ffaa49d78eec8cb81d",
-    "lpreg-infer-rot": "c3db1200c2692436950b3cdb24b6911ccaf8b9b6e5002a117d862f771f0f2caf",
-    "lpreg-infer-mse": "27b6fd58ba7440579ddb96122657fe561fbc81c9374133a109ddaa2d938f6402",
-    "lpreg-infer-fixed": "75192c5c36ff981579dcf63b2fff5a2ed5e2371577aa412abfa98d06e11e565d",
-    "lpreg-infer-boundary-dpi": "83b10c7f1165790b81f2ecc4376ef3505313d58daca6b1c334f30ae4f80ba6eb",
-    "lpreg-infer-nn": "f7f214fc70ce2692c8e0d029a512968ec5092f75df52623238115448e6176452",
-    "lpreg-infer-nn-edge": "c2a0c1bbf6f5d714193ed881b929b9a5f91134a66bc23f9fdf0a17da445113c1",
+    "lpreg-infer-dpi": "9af83729523631ea777970dd4b165c9250384210c45386b7929178f0ec5ad03d",
+    "lpreg-infer-rot": "babc285d32e3617ca2ebfa7fcab9d5fd65b5f7468e057190651c54a93cb0146c",
+    "lpreg-infer-mse": "b14150a1ad97f5632f3d9e4ad83ff4336d49c2cd1b460e3235f02ac723efd795",
+    "lpreg-infer-fixed": "5f6407d3ceec335eed6778766b88ac2c25285fb8a97be6609d634a7aefa0ed99",
+    "lpreg-infer-boundary-dpi": "83fee43c677bc991e4049635ea31c9bfaeaae4cb96f8a6b313573bbd62b81000",
+    "lpreg-infer-nn": "5213c1cfaca12465b81f8ab0a2f2ea2b8bfe6b62cb59e44e052f2820aad851ff",
+    "lpreg-infer-nn-edge": "ff09ea44d5ccdd808c61b695ca79a2b3ebd23078bc38e35a59934caadb97aa5e",
     "bw-density-dpi": "f01afed20e83aa57a188570ecf0610c7a27335a84c94c1dd3ea01513da4a4d8b",
     "bw-density-rot": "65084c9619b8775a13f9bd7507f9d4d94be19e207c88676201a3d6aced616f6b",
     "bw-density-mse": "be92f415d7428ce34241e2b5fc9d76592c7ce04fb402c9407e628e0a67ee6198",
-    "bw-lpreg-dpi": "6a94356222e38dd6cad2d20523f4aa38475233b46614906ae6ec6c81d05d3ebf",
+    "bw-lpreg-dpi": "0ba289685a5075d86007365728bd3b0db2088794c1c65e51223ad8ac9d130bbc",
     "bw-lpreg-rot": "b0825dd0718fc5e01c94aec74671e79707993f93ef34140a34e625ecaabb0a27",
     "bw-lpreg-mse": "587d725d07f698d7edfa2bb9ebc55aef70173cc0b96a059f68eebbb9d7d6bc82",
 }
 
 # the --curves CSV of a single-rule study and of a fixed-bandwidth sweep
 CURVES_DIGESTS = {
-    "sim": "212ddee3a7483935d047793dd2e5326b1a98946e954c1f66dc78b06b3fa5846c",
-    "sweep": "2c91556c621ad11ac8d78142d061107e9e4777da4d0b769ddf98e4a05194918b",
+    "sim": "747882cdca09db43fd4918b149c0d6d75ce0e41935f4289ba57366bdabc08214",
+    "sweep": "55bda6ba233fb0f4c4ed30888f24f61dd40570d7aebf53484964edd78e9f4788",
 }
 
 

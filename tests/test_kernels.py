@@ -16,7 +16,6 @@ from npinfer import (
     custom_kernel,
     density_infer,
     induced_kernel,
-    induced_kernel_M,
     kernel,
     kernel_names,
     minvar_derivative_kernel,
@@ -191,17 +190,17 @@ class TestInducedKernel:
         # uniform K with the minimum-variance second-derivative kernel at
         # rho = 1 reproduces the fourth-order minimum variance kernel
         u = np.linspace(-1, 1, 1001)
-        vals = induced_kernel_M(kernel("uniform"), kernel("minvar-deriv2"), 2, 1.0, u)
+        vals = induced_kernel(kernel("uniform"), kernel("minvar-deriv2"), 2, 1.0).eval_many(u)
         target = (3.0 / 8.0) * (3.0 - 5.0 * u**2)
         assert np.max(np.abs(vals - target)) < 1e-12
 
     def test_rho_zero_returns_k(self):
         epa = kernel("epanechnikov")
         for u in [-0.8, 0.0, 0.3, 0.99]:
-            assert induced_kernel_M(epa, kernel("mseopt-deriv2"), 2, 0.0, u) == epa(u)
+            assert induced_kernel(epa, kernel("mseopt-deriv2"), 2, 0.0)(u) == epa(u)
 
     def test_direct_substitution_at_zero(self):
-        val = induced_kernel_M(kernel("epanechnikov"), kernel("minvar-deriv2"), 2, 1.0, 0.0)
+        val = induced_kernel(kernel("epanechnikov"), kernel("minvar-deriv2"), 2, 1.0)(0.0)
         assert val == pytest.approx(0.75 - 0.1 * (-3.75), abs=1e-15)
 
     def test_rejects_negative_rho(self):

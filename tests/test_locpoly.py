@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locpoly_reference import reference_lp_infer, reference_nn_weights
+from locpoly_reference import reference_lp_infer, reference_nn_weights, whole_sample_lp_fit
 from npinfer import KernelSpec, kernel, locpoly
 from npinfer.errors import (
     DegenerateSampleError,
@@ -117,7 +117,36 @@ class TestFit:
         x = np.arange(-16, 17) / 16
         fit = lp_fit(RegressionSample(x, x**2), 0.0, 1, 0.5, RIGHT)
         assert fit.effective_n == 9
-        assert np.array_equal(fit.in_window, (x >= 0.0) & (x <= 0.5))
+        rows = np.flatnonzero((x >= 0.0) & (x <= 0.5))
+        assert np.array_equal(np.arange(x.size)[fit.window], rows)
+
+    @settings(max_examples=300)
+    @given(
+        # grid covariates tie with each other and sit exactly on window edges
+        xs=st.lists(
+            st.one_of(st.integers(-24, 24).map(lambda k: k / 8), st.floats(-3.0, 3.0)),
+            min_size=2,
+            max_size=40,
+        ),
+        x=st.one_of(st.integers(-16, 16).map(lambda k: k / 8), st.floats(-3.0, 3.0)),
+        h=st.one_of(st.sampled_from([0.125, 0.25, 0.375, 0.5, 1.0]), st.floats(1e-3, 4.0)),
+        K=st.sampled_from(["epanechnikov", "triangular", "uniform", "right"]),
+    )
+    def test_window_is_the_support_mask(self, xs, x, h, K):
+        K = RIGHT if K == "right" else kernel(K)
+        s = RegressionSample(xs, np.arange(len(xs), dtype=float))
+        u = (s.x_values - x) / h
+        lo, hi = K.support
+        mask = (u >= lo) & (u <= hi)
+        try:
+            fit = lp_fit(s, x, 0, h, K)
+        except SingularDesignError:
+            # only rows where the kernel vanishes, or none, are in the mask
+            assert not np.any(K.eval_many(u[mask]))
+            return
+        assert np.array_equal(np.arange(s.n)[fit.window], np.flatnonzero(mask))
+        assert fit.effective_n == np.count_nonzero(mask)
+        assert [v.hex() for v in fit.u] == [v.hex() for v in u[mask]]
 
     def test_g_is_spd(self):
         rng = np.random.default_rng(4)
@@ -182,12 +211,14 @@ class TestResidualWeights:
         assert np.all(v3 >= v0 - 1e-15)
 
     def test_out_of_window_zeros(self):
+        # out-of-window rows get no estimate at all: one per window row
         rng = np.random.default_rng(10)
         s = make_sample(rng, n=60, fn=np.sin)
         fit = lp_fit(s, 0.0, 1, 0.3, EPA)
+        assert fit.effective_n < s.n
         for kind in ["hc0", "hc3", "nn"]:
             v = lp_residual_weights(fit, VarianceMethod(kind), s)
-            assert np.all(v[~fit.in_window] == 0.0)
+            assert v.shape == (fit.effective_n,)
 
     def test_leverage_one_raises(self):
         # two in-window points and a degree-1 fit put every leverage at one
@@ -215,7 +246,7 @@ class TestResidualWeights:
         s = make_sample(np.random.default_rng(10), n=60, fn=np.sin)
         fit = lp_fit(s, 0.0, 1, 0.3, EPA)
         with pytest.raises(ValueError, match="window"):
-            lp_residual_weights(fit, HC3, s, window=fit.in_window)
+            lp_residual_weights(fit, HC3, s, window=fit.window)
 
     @settings(max_examples=400)
     @given(
@@ -224,7 +255,7 @@ class TestResidualWeights:
         J=st.one_of(st.integers(1, 5), st.integers(6, 12)),
         # grid covariates give long tie blocks on both sides of a row
         spacing=st.sampled_from([0.0, 0.5, 0.1, None]),
-        where=st.sampled_from(["all", "low end", "high end", "middle", "random"]),
+        where=st.sampled_from(["all", "low end", "high end", "middle"]),
     )
     def test_nn_matches_argsort_loop_bit_for_bit(self, data, n_extra, J, spacing, where):
         n = J + n_extra
@@ -237,13 +268,11 @@ class TestResidualWeights:
             x = rng.integers(-4, 5, n) * spacing + 0.03
         s = RegressionSample(x, rng.standard_normal(n))
         lo, hi = sorted(data.draw(st.integers(0, n)) for _ in range(2))
-        k = np.arange(n)
         window = {
-            "all": k >= 0,
-            "low end": k < hi,
-            "high end": k >= lo,
-            "middle": (k >= lo) & (k < hi),
-            "random": rng.random(n) < 0.5,
+            "all": slice(0, n),
+            "low end": slice(0, hi),
+            "high end": slice(lo, n),
+            "middle": slice(lo, hi),
         }[where]
         fit = lp_fit(s, 0.0, 0, 1e6, kernel("uniform"))  # any fit: the window replaces its own
         got = lp_residual_weights(fit, VarianceMethod("nn", J), s, window=window)
@@ -256,7 +285,7 @@ class TestVariances:
         rng = np.random.default_rng(11)
         s = make_sample(rng, n=40, fn=np.sin)
         fit = lp_fit(s, 0.0, 1, 0.5, EPA)
-        assert lp_variance(fit.weights, np.zeros(s.n), fit.h) == 0.0
+        assert lp_variance(fit.weights, np.zeros(fit.effective_n), s.n, fit.h) == 0.0
 
     def test_rbc_with_rho_zero_equals_us(self):
         # lp_infer takes a finite b, so rho > 0; the bias factor rho^(p+1) c
@@ -280,9 +309,9 @@ class TestVariances:
         base = RegressionSample(X, np.zeros_like(X))
         fit = lp_fit(base, x0, 1, h, EPA)
         draws = rng.standard_normal((10000, X.size)) * sd
-        m_hats = draws @ fit.weights
+        m_hats = draws[:, fit.window] @ fit.weights
         mc = X.size * h * np.var(m_hats, ddof=1)
-        pop = lp_variance(fit.weights, sd**2, h)
+        pop = lp_variance(fit.weights, sd[fit.window] ** 2, X.size, h)
         assert mc == pytest.approx(pop, rel=0.05)
 
     def test_conditional_mc_oracle_rbc_general_rho(self):
@@ -291,11 +320,12 @@ class TestVariances:
         X = np.sort(rng.uniform(-1, 1, 100))
         h, b, x0 = 0.4, 0.65, 0.1
         base = RegressionSample(X, np.zeros_like(X))
-        w = lp_infer(base, x0, 1, 2, h, b, EPA, EPA, 0.05, HC0).weights_rbc
+        res = lp_infer(base, x0, 1, 2, h, b, EPA, EPA, 0.05, HC0)
+        w = res.weights_rbc
         draws = rng.standard_normal((20000, X.size))
-        stats = draws @ w
+        stats = draws[:, res.window] @ w
         mc = X.size * h * np.var(stats, ddof=1)
-        pop = lp_variance(w, np.ones(X.size), h)
+        pop = lp_variance(w, np.ones(w.size), X.size, h)
         assert mc == pytest.approx(pop, rel=0.04)
 
     def test_remark7_variance_collapse(self):
@@ -304,8 +334,8 @@ class TestVariances:
         h = 0.5
         res = lp_infer(s, 0.0, 1, 2, h, h, EPA, EPA, 0.05, HC3)
         v_q = lp_residual_weights(res.fit_q, HC3, s)
-        rbc = lp_variance(res.weights_rbc, v_q, h)
-        us_q = lp_variance(res.fit_q.weights, v_q, h)
+        rbc = lp_variance(res.weights_rbc, v_q, s.n, h)
+        us_q = lp_variance(res.fit_q.weights, v_q, s.n, h)
         assert rbc == pytest.approx(us_q, rel=1e-10)
 
 
@@ -442,6 +472,7 @@ class TestOnePass:
         bounds = [(ci.lower.hex(), ci.upper.hex()) for ci in got.intervals]
         assert bounds == [(ci.lower.hex(), ci.upper.hex()) for ci in want.intervals]
         assert [w.hex() for w in got.weights_rbc] == [w.hex() for w in want.weights_rbc]
+        assert got.window == want.window
         assert got.to_dict() == want.to_dict()
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
@@ -465,10 +496,38 @@ class TestOnePass:
         # q-window are the p-weights; their NN estimates enter se_rbc
         s = gen_regression_sample(REGRESSION_MODELS[5], 500, np.random.default_rng(1))
         res = lp_infer(s, 0.0, 1, 2, 0.4, 0.2, EPA, EPA, 0.05, VarianceMethod("nn", 3))
-        assert np.count_nonzero(res.fit_p.in_window & ~res.fit_q.in_window) == 103
-        v = reference_nn_weights(s, res.fit_p.in_window, 3)
+        assert res.window == res.fit_p.window
+        assert res.fit_p.effective_n - res.fit_q.effective_n == 103
+        v = reference_nn_weights(s, res.window, 3)
         assert res.se_rbc == pytest.approx(6.4166, abs=1e-4)
-        assert res.se_rbc == pytest.approx(np.sqrt(lp_variance(res.weights_rbc, v, 0.4)))
+        assert res.se_rbc == pytest.approx(np.sqrt(lp_variance(res.weights_rbc, v, s.n, 0.4)))
+
+
+class TestWholeSample:
+    """lp_infer against the helper chain run on whole-sample fits, which sum
+    over all n rows with zeros outside the window (tests/locpoly_reference.py).
+
+    Summing n_w terms instead of n groups the additions differently, so the
+    two may differ by rounding only.
+    """
+
+    @pytest.mark.parametrize("kind", VarianceMethod.KINDS)
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("x0", [-1.0, -0.75, 0.0, 0.4, 1.0])
+    def test_lp_infer_within_rounding(self, kind, rho, x0):
+        s = gen_regression_sample(REGRESSION_MODELS[5], 400, np.random.default_rng(3))
+        args = (s, x0, 1, 2, 0.4, 0.4 / rho, EPA, EPA, 0.05, VarianceMethod(kind))
+        got = lp_infer(*args)
+        want = reference_lp_infer(*args, fit=whole_sample_lp_fit)
+        assert want.window == slice(0, s.n)
+        for f in ("m_hat", "bias_hat", "se_us", "se_rbc"):
+            assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=0), f
+        for a, b in zip(got.intervals, want.intervals):
+            assert (a.lower, a.upper) == pytest.approx((b.lower, b.upper), rel=1e-12, abs=0)
+        assert got.boundary_flag == want.boundary_flag == (abs(x0) + 0.4 > 1.0)
+        w = want.weights_rbc
+        assert not np.any(np.delete(w, np.arange(s.n)[got.window]))
+        assert_allclose(got.weights_rbc, w[got.window], rtol=0, atol=1e-12 * np.max(np.abs(w)))
 
 
 def test_variance_method_parsing():

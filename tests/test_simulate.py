@@ -311,6 +311,15 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=match):
             _lpreg_config(**overrides)
 
+    @pytest.mark.parametrize("estimator,model", [("density", 1), ("lpreg", 5)])
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+    def test_rho_not_finite(self, estimator, model, rho):
+        with pytest.raises(ConfigError, match="rho must be finite"):
+            McConfig(
+                estimator=estimator, model=model, n=100, replications=1,
+                evaluation_points=(0.0,), rho=rho,
+            )
+
     def test_bias_kernel_order_mismatch(self):
         # the default bias kernel estimates f'' only
         with pytest.raises(ConfigError, match="order-4 derivative kernel"):
