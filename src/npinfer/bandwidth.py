@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -158,7 +159,7 @@ def mse_bandwidth_density_reference(
         raise ValueError("normal reference supports kappa in {2, 4}")
     f_x = normal_reference_density_derivative(x, mu, sigma, 0)
     f_k = normal_reference_density_derivative(x, mu, sigma, kappa)
-    if abs(f_k) < 1e-12:
+    if abs(f_k) * sigma ** (kappa + 1) < 1e-12:
         raise ZeroCurvatureError(
             f"reference f^({kappa})({x}) vanishes; MSE bandwidth undefined"
         )
@@ -366,7 +367,7 @@ def _derivative_pilot_bandwidth(
     """Normal-reference MSE-optimal bandwidth for estimating f^(nu) with J."""
     f_x = normal_reference_density_derivative(x, mu, sigma, 0)
     f_next = normal_reference_density_derivative(x, mu, sigma, nu + 2)
-    if abs(f_next) < 1e-12:
+    if abs(f_next) * sigma ** (nu + 3) < 1e-12:
         raise ZeroCurvatureError(
             f"reference f^({nu + 2})({x}) vanishes; derivative pilot undefined"
         )
@@ -418,7 +419,7 @@ def dpi_bandwidth_density(
     f_nu = density_derivative_estimate(sample, x, b_pilot, J, nu)
     diag["pilot_bandwidth"] = b_pilot
     diag["f_deriv_hat"] = f_nu
-    if abs(f_nu) < 1e-12:
+    if abs(f_nu) * sigma_x ** (nu + 1) < 1e-12:
         return _fallback("estimated f^(kappa+2) vanished")
 
     M = induced_kernel(K, L, kappa, 1.0)
@@ -463,8 +464,12 @@ def _global_poly_pilot(sample: RegressionSample, k: int, x: float):
     return float(out), float(resid @ resid / (sample.n - (k + 3)))
 
 
+@lru_cache(maxsize=64)
 def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
-    """Asymptotic variance and bias constants; integrals can be truncated."""
+    """Asymptotic variance and bias constants; integrals can be truncated.
+
+    They depend on the kernel alone, so each (K, p, trunc) is computed once.
+    """
     S = np.empty((p + 1, p + 1))
     T = np.empty((p + 1, p + 1))
     c = np.empty(p + 1)
@@ -476,6 +481,23 @@ def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
     S_inv = np.linalg.inv(S)
     V = float(S_inv[0] @ T @ S_inv[0])
     B = float(S_inv[0] @ c)
+    return V, B
+
+
+def _lp_bias_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None = None):
+    """``_lp_kernel_constants`` with a ValueError, naming p and K, when B vanishes.
+
+    The mse, rot and dpi rules balance the h^(p+1) bias term against the
+    variance.  Its constant B is 0 at interior points for every even p with
+    a symmetric kernel, so those rules are undefined there.
+    """
+    V, B = _lp_kernel_constants(K, p, trunc)
+    if abs(B) < 1e-14:
+        raise ValueError(
+            f"degree p = {p} with kernel {K.name!r} has a vanishing bias constant B "
+            "(at interior points every even p with a symmetric kernel does); the mse, "
+            "rot and dpi rules need an odd p, the boundary rate or a fixed bandwidth"
+        )
     return V, B
 
 
@@ -500,7 +522,8 @@ def mse_bandwidth_lp(
     Pilots: m^(p+1)(x) and the residual variance from a global polynomial
     fit of degree p+3, and a Silverman-bandwidth kernel density estimate
     for f_X(x).  The kernel constants are integrated over the half
-    support when ``boundary`` is set.
+    support when ``boundary`` is set; a vanishing bias constant raises
+    ValueError.
     """
     n = sample.n
     xs = DensitySample(sample.x_values)
@@ -510,9 +533,9 @@ def mse_bandwidth_lp(
     if f_x <= 1e-12:
         raise ZeroCurvatureError(f"design density estimate vanished at x = {x}")
     trunc = _boundary_trunc(sample, x) if boundary else None
-    V, B = _lp_kernel_constants(K, p, trunc)
+    V, B = _lp_bias_constants(K, p, trunc)
     scale = max(1.0, float(np.max(np.abs(sample.y_values))))
-    if abs(m_deriv) < 1e-10 * scale or abs(B) < 1e-14:
+    if abs(m_deriv) < 1e-10 * scale:
         raise ZeroCurvatureError(f"pilot m^({p + 1})({x}) vanishes; MSE bandwidth undefined")
     num = sigma2 * V * math.factorial(p + 1) ** 2
     den = 2.0 * (p + 1) * n * f_x * (m_deriv * B) ** 2
@@ -775,7 +798,9 @@ def select(
     ``kappa`` and, for "dpi", the bias kernel ``L``; local polynomial rules
     use the degree ``p`` and the ``boundary`` rate.  Every rule raises
     ZeroCurvatureError for fewer than two observations or zero spread, and
-    an unknown rule raises ValueError.
+    an unknown rule raises ValueError; so does a local polynomial degree
+    whose interior bias constant vanishes (even p with a symmetric kernel)
+    when ``boundary`` is not set, before any pilot runs.
     """
     # selectors are looked up by module name at call time so that a
     # patched (e.g. traced) selector is the one that runs
@@ -799,6 +824,8 @@ def select(
         mse = mse_bandwidth_density_normal_ref(sample, x, kappa, K)
         context, order = "density", kappa
     else:
+        if not boundary:
+            _lp_bias_constants(K, p)  # an interior degree without h^(p+1) bias fails first
         if rule == "dpi":
             return dpi_bandwidth_lp(sample, x, p, boundary, K, alpha)
         mse = mse_bandwidth_lp(sample, x, p, K, boundary=boundary)

@@ -170,20 +170,16 @@ class KernelSpec:
 
     @property
     def support(self) -> tuple:
-        return (float(self.pieces[0][0]), float(self.pieces[-1][1]))
+        return (self._float_pieces[0][0], self._float_pieces[-1][1])
 
     @cached_property
-    def _breaks(self) -> np.ndarray:
-        pts = [self.pieces[0][0]] + [p[1] for p in self.pieces]
-        return np.array([float(b) for b in pts])
-
-    @cached_property
-    def _coef_matrix(self) -> np.ndarray:
-        deg = max(len(p[2]) for p in self.pieces)
-        mat = np.zeros((len(self.pieces), deg))
-        for i, (_, _, coeffs) in enumerate(self.pieces):
-            mat[i, : len(coeffs)] = [float(c) for c in coeffs]
-        return mat
+    def _float_pieces(self) -> tuple:
+        """The pieces as floats: ``(lo, hi, coeffs)`` with the coefficients
+        descending in degree, the order Horner's rule reads them."""
+        return tuple(
+            (float(lo), float(hi), tuple(float(c) for c in reversed(coeffs)))
+            for lo, hi, coeffs in self.pieces
+        )
 
     @cached_property
     def _memo(self) -> dict:
@@ -203,22 +199,21 @@ class KernelSpec:
         return float(self.eval_many(np.asarray([u]))[0])
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel at an array of points (0 outside support)."""
+        """Evaluate the kernel at an array of points, of any shape.
+
+        Piece k covers lo_k <= u < hi_k, and the last piece also covers its
+        right edge; points outside the support, +-inf and nan give 0.0.
+        """
         u = np.asarray(u, dtype=float)
-        breaks = self._breaks
-        idx = np.searchsorted(breaks, u, side="right") - 1
-        # points exactly at the right edge belong to the last piece
-        idx[u == breaks[-1]] = len(self.pieces) - 1
-        inside = (idx >= 0) & (idx < len(self.pieces)) & (u >= breaks[0]) & (u <= breaks[-1])
         out = np.zeros_like(u)
-        if np.any(inside):
-            safe = np.clip(idx[inside], 0, len(self.pieces) - 1)
-            coefs = self._coef_matrix[safe]
-            ui = u[inside]
+        last = len(self._float_pieces) - 1
+        for k, (lo, hi, coeffs) in enumerate(self._float_pieces):
+            on_piece = (u >= lo) & ((u < hi) if k < last else (u <= hi))
+            ui = u[on_piece]
             acc = np.zeros_like(ui)
-            for j in range(coefs.shape[1] - 1, -1, -1):
-                acc = acc * ui + coefs[:, j]
-            out[inside] = acc
+            for c in coeffs:
+                acc = acc * ui + c
+            out[on_piece] = acc
         return out
 
     # -- calculus ------------------------------------------------------

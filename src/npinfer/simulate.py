@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import RULES, select
+from .bandwidth import RULES, _lp_bias_constants, select
 from .density import DEFAULT_BIAS_KERNEL, METHODS, DensitySample, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import derivative_part, kernel
@@ -254,12 +254,14 @@ class McConfig:
             self.fixed_h is not None and math.isfinite(self.fixed_h) and self.fixed_h > 0
         ):
             raise ConfigError("fixed bandwidth rule requires a positive, finite fixed_h")
-        if self.estimator == "lpreg" and self.q <= self.p:
+        if self.estimator == "lpreg" and not 0 <= self.p < self.q:
             raise ConfigError(
-                f"local polynomial simulations require q > p, got p={self.p}, q={self.q}"
+                f"local polynomial simulations require q > p >= 0, got p={self.p}, q={self.q}"
             )
         if self.estimator == "lpreg" and not self.rho > 0:
             raise ConfigError("local polynomial simulations require rho > 0")
+        if self.estimator == "lpreg" and self.bw_rule != "fixed" and not self.boundary:
+            _config_checked(_lp_bias_constants, kernel(self.kernel_name), self.p)
         if self.estimator == "density" and self.rho < 0:
             raise ConfigError("rho must be nonnegative")
         if self.estimator == "density" and self.model not in DENSITY_MODELS:

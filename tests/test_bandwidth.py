@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import norm
 import bandwidth_reference as reference
 from edgeworth_reference import whole_sample_rows
 from locpoly_reference import whole_sample_lp_fit
-from npinfer import DensitySample, induced_kernel, kernel
+from npinfer import DensitySample, custom_kernel, induced_kernel, kernel
 from npinfer import bandwidth
 from npinfer.bandwidth import (
     RULES,
@@ -663,7 +664,60 @@ class TestAgainstReference:
         s = RegressionSample(xv, y)
         for rule in RULES["lpreg"]:
             new = _outcome(lambda: select(rule, s, x, EPA, p=p, boundary=boundary))
+            if p % 2 == 0 and not boundary:
+                # the interior bias constant vanishes: rejected before any pilot runs
+                assert new[:2] == ("raises", "ValueError") and f"p = {p}" in new[2], new
+                continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 ref = _outcome(lambda: reference.select(rule, s, x, EPA, p=p, boundary=boundary))
             _assert_same_as_reference(new, ref, s.x_values)
+
+
+class TestEvenDegree:
+    """A degree whose interior bias constant B vanishes is a configuration error."""
+
+    @pytest.mark.parametrize("rule", RULES["lpreg"])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_select_rejects_before_any_pilot(self, rule, p, monkeypatch):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a pilot ran")
+
+        for name in ("_sample_sd", "_global_poly_pilot", "silverman_rot_density", "lp_fit"):
+            monkeypatch.setattr(bandwidth, name, must_not_run)
+        with pytest.raises(ValueError, match=rf"degree p = {p} with kernel 'epanechnikov'"):
+            select(rule, _regression_sample(), 0.0, EPA, p=p)
+
+    def test_the_check_reads_B_not_the_parity_of_p(self):
+        skew = custom_kernel([Fraction(1, 2), Fraction(3, 10), 0, Fraction(-1, 5)], kappa=2)
+        assert bandwidth._lp_kernel_constants(skew, 2, None)[1] != 0
+        assert select("mse", _regression_sample(), 0.0, skew, p=2).value > 0
+        with pytest.raises(ValueError, match="vanishing bias constant"):
+            select("mse", _regression_sample(), 0.0, EPA, p=2)
+
+    @pytest.mark.parametrize("rule,expected", [("mse", 0.5068), ("dpi", 0.3254)])
+    def test_boundary_rate_stays_open(self, rule, expected):
+        sample = gen_regression_sample(REGRESSION_MODELS[5], 500, replication_rng(1, 0))
+        choice = select(rule, sample, 0.9, EPA, p=2, boundary=True)
+        assert choice.value == pytest.approx(expected, abs=5e-5)
+
+
+_DENSITY_BASE = np.random.default_rng(0).standard_normal(300)
+
+
+@settings(max_examples=60)
+@given(
+    rule=st.sampled_from(RULES["density"]),
+    x=st.sampled_from([-2.0, -0.5, 0.0, 0.7, 1.5, 6.0]),
+    magnitude=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    d=st.floats(-10.0, 10.0),
+)
+def test_density_rules_are_scale_equivariant(rule, x, magnitude, sign, d):
+    # h(c X + d, at c x + d) = |c| h(X, at x), with the same fallback and reason
+    c = sign * 10.0**magnitude
+    base = select(rule, DensitySample(_DENSITY_BASE), x, EPA, L=MSE2)
+    moved = select(rule, DensitySample(c * _DENSITY_BASE + d), c * x + d, EPA, L=MSE2)
+    assert moved.value == pytest.approx(abs(c) * base.value, rel=1e-9)
+    for key in ("fallback", "fallback_reason"):
+        assert moved.diagnostics.get(key) == base.diagnostics.get(key)

@@ -311,6 +311,18 @@ class TestRuleParity:
         assert error["error"] == "ConfigError"
         assert "rho must be finite" in error["message"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["lpreg", "infer", "--h", "auto", "--q", "3"], ["bw", "--estimator", "lpreg"]],
+        ids=["lpreg-infer", "lpreg-bw"],
+    )
+    def test_even_degree_interior_rule_exits_one(self, command, regression_csv, capsys):
+        code = main(command + ["--data", regression_csv, "--x", "0", "--p", "2"])
+        assert code == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ValueError"
+        assert "degree p = 2 with kernel 'epanechnikov'" in error["message"]
+
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])
         assert code == 1
@@ -377,9 +389,11 @@ class TestSimCommand:
              "--h-grid expects lo:hi:count"),
             (["sim", "lpreg", "--x-law", "1"], "ConfigError", "x_law must be a pair"),
             (["sim", "lpreg", "--x-law", "0,0"], "ConfigError", "x_law must be a pair"),
+            (["sim", "lpreg", "--p", "2", "--q", "3"], "ConfigError", "degree p = 2"),
         ],
         ids=["grid-without-curves", "sweep-without-grid", "inf-hi", "nan-lo", "nan-hi",
-             "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate"],
+             "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
+             "even-degree"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):

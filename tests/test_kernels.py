@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kernel_reference import reference_eval_many
 from npinfer import (
     DensitySample,
     KernelSpec,
@@ -15,6 +16,7 @@ from npinfer import (
     TruncatedSupport,
     custom_kernel,
     density_infer,
+    gj_equivalent_kernel,
     induced_kernel,
     kernel,
     kernel_names,
@@ -94,6 +96,42 @@ class TestEval:
         spec = kernel("mseopt-order4")
         u = np.linspace(-1.3, 1.3, 57)
         assert_allclose(spec.eval_many(u), [spec(v) for v in u], rtol=0, atol=0)
+
+
+# ----------------------------------------------------------------------
+# the piece-at-a-time evaluator against the per-point piece lookup
+# ----------------------------------------------------------------------
+
+_EPA, _TRI, _MSE2 = kernel("epanechnikov"), kernel("triangular"), kernel("mseopt-deriv2")
+EVAL_SPECS = (
+    [kernel(name).derivative(d) for name in ALL_KERNELS for d in (0, 1, 2)]
+    + [induced_kernel(K, _MSE2, 2, rho) for K in (_EPA, _TRI) for rho in (0.0, 0.3, 0.29999999999999993)]
+    + [minvar_derivative_kernel(nu) for nu in (2, 4, 6)]
+    + [
+        gj_equivalent_kernel(_EPA, kernel("uniform"), 0.3, 0.5),
+        custom_kernel([Fraction(1, 2), Fraction(3, 10), 0, Fraction(-1, 5)], kappa=2, name="skew"),
+    ]
+)
+eval_specs = st.one_of(
+    st.sampled_from(EVAL_SPECS),
+    st.builds(
+        lambda K, L, rho: induced_kernel(kernel(K), kernel(L), 2, rho),
+        st.sampled_from(LEVEL_KERNELS),
+        st.sampled_from(ALL_KERNELS),
+        st.floats(0.05, 3.0),
+    ),
+)
+
+
+@given(spec=eval_specs, draws=st.lists(st.floats(-4.0, 4.0), max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_eval_many_matches_per_point_lookup(spec, draws, seed):
+    breaks = sorted({float(b) for lo, hi, _ in spec.pieces for b in (lo, hi)})
+    edges = [v for b in breaks for v in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))]
+    u = np.random.default_rng(seed).permutation(edges + [0.0, -0.0, np.inf, -np.inf, np.nan] + draws)
+    for points in (u, u[: u.size // 2 * 2].reshape(2, -1), np.array(draws), np.empty(0), np.empty((0, 3))):
+        got, expected = spec.eval_many(points), reference_eval_many(spec, points)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMoments:

@@ -287,6 +287,19 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="q > p"):
             _lpreg_config(p=1, q=q)
 
+    def test_negative_degree(self):
+        with pytest.raises(ConfigError, match="q > p >= 0"):
+            _lpreg_config(p=-1, q=0)
+
+    @pytest.mark.parametrize("bw_rule", ["mse", "rot", "dpi"])
+    def test_even_degree_interior_rule(self, bw_rule):
+        with pytest.raises(ConfigError, match="degree p = 2 with kernel 'epanechnikov'"):
+            _lpreg_config(p=2, q=3, bw_rule=bw_rule)
+
+    @pytest.mark.parametrize("overrides", [{"bw_rule": "fixed", "fixed_h": 0.3}, {"boundary": True}])
+    def test_even_degree_stays_open_for_fixed_and_boundary(self, overrides):
+        assert _lpreg_config(p=2, q=3, **overrides).p == 2
+
     def test_empty_evaluation_points(self):
         with pytest.raises(ConfigError, match="evaluation_points"):
             _lpreg_config(evaluation_points=())
