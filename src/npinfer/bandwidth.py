@@ -448,20 +448,35 @@ def global_poly_derivative(sample: RegressionSample, k: int, x: float) -> float:
 
 
 def _global_poly_pilot(sample: RegressionSample, k: int, x: float):
-    """(m^(k)(x), sigma2_hat) from one OLS fit of Y on raw powers 0..k+2 of X."""
+    """(m^(k)(x), sigma2_hat) from one OLS fit of Y on raw powers 0..k+2 of X.
+
+    The fit does not depend on x, so each sample makes it once per k.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if sample.n <= k + 6:
         raise SingularDesignError(f"need n > {k + 6} observations for k = {k}")
+    gamma, sigma2 = sample._memoized(("gpoly", k), lambda: _global_poly_fit(sample, k))
+    out = 0.0
+    for j in range(k, k + 3):
+        out += gamma[j] * math.factorial(j) / math.factorial(j - k) * x ** (j - k)
+    return float(out), sigma2
+
+
+def _global_poly_fit(sample: RegressionSample, k: int):
+    """gamma (read-only) and sigma2_hat of the degree-(k+2) global fit."""
     V = np.vander(sample.x_values, N=k + 3, increasing=True)
     gamma, _res, rank, _sv = np.linalg.lstsq(V, sample.y_values, rcond=None)
     if rank < k + 3:
         raise SingularDesignError("global polynomial design is rank deficient")
     resid = sample.y_values - V @ gamma
-    out = 0.0
-    for j in range(k, k + 3):
-        out += gamma[j] * math.factorial(j) / math.factorial(j - k) * x ** (j - k)
-    return float(out), float(resid @ resid / (sample.n - (k + 3)))
+    gamma.flags.writeable = False
+    return gamma, float(resid @ resid / (sample.n - (k + 3)))
+
+
+def _y_scale(sample: RegressionSample) -> float:
+    """max(1, max|Y|), the scale of the lpreg vanishing tests."""
+    return sample._memoized("y_scale", lambda: max(1.0, float(np.max(np.abs(sample.y_values)))))
 
 
 @lru_cache(maxsize=64)
@@ -469,6 +484,8 @@ def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
     """Asymptotic variance and bias constants; integrals can be truncated.
 
     They depend on the kernel alone, so each (K, p, trunc) is computed once.
+    A singular moment matrix S, as for a higher-order kernel (its second
+    moment vanishes) at p = 1 or 2, raises ValueError naming K and p.
     """
     S = np.empty((p + 1, p + 1))
     T = np.empty((p + 1, p + 1))
@@ -478,7 +495,14 @@ def _lp_kernel_constants(K: KernelSpec, p: int, trunc: TruncatedSupport | None):
         for j in range(i, p + 1):
             S[i, j] = S[j, i] = K.power_weighted_integral(i + j, 1, trunc)
             T[i, j] = T[j, i] = K.power_weighted_integral(i + j, 2, trunc)
-    S_inv = np.linalg.inv(S)
+    try:
+        S_inv = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        cause = "its second moment vanishes, so " if p >= 1 and S[1, 1] == 0 else ""
+        raise ValueError(
+            f"kernel {K.name!r} cannot serve the local polynomial rules at degree p = {p}: "
+            f"{cause}the kernel moment matrix S is singular"
+        ) from None
     V = float(S_inv[0] @ T @ S_inv[0])
     B = float(S_inv[0] @ c)
     return V, B
@@ -526,16 +550,16 @@ def mse_bandwidth_lp(
     ValueError.
     """
     n = sample.n
-    xs = DensitySample(sample.x_values)
-    h_f = silverman_rot_density(xs, 2).value  # covariates without spread fail here first
+    xs = sample._memoized("xs", lambda: DensitySample(sample.x_values))
+    # covariates without spread fail here first
+    h_f = sample._memoized("silverman", lambda: silverman_rot_density(xs, 2).value)
     m_deriv, sigma2 = _global_poly_pilot(sample, p + 1, x)
     f_x = density_point_estimate(xs, x, h_f, kernel("epanechnikov"))
     if f_x <= 1e-12:
         raise ZeroCurvatureError(f"design density estimate vanished at x = {x}")
     trunc = _boundary_trunc(sample, x) if boundary else None
     V, B = _lp_bias_constants(K, p, trunc)
-    scale = max(1.0, float(np.max(np.abs(sample.y_values))))
-    if abs(m_deriv) < 1e-10 * scale:
+    if abs(m_deriv) < 1e-10 * _y_scale(sample):
         raise ZeroCurvatureError(f"pilot m^({p + 1})({x}) vanishes; MSE bandwidth undefined")
     num = sigma2 * V * math.factorial(p + 1) ** 2
     den = 2.0 * (p + 1) * n * f_x * (m_deriv * B) ** 2
@@ -704,7 +728,7 @@ def dpi_bandwidth_lp(
     n = sample.n
     q = p + 1
     s = p + 2 if boundary_flag else p + 3  # order of the post-correction bias
-    sigma_x = _sample_sd(sample.x_values)
+    sigma_x = sample._memoized("sd", lambda: _sample_sd(sample.x_values))
     diag: dict = {"boundary": boundary_flag}
 
     def _fallback(reason: str) -> BandwidthChoice:
@@ -759,8 +783,7 @@ def dpi_bandwidth_lp(
             + m_p3 / math.factorial(p + 3) * core3
         )
     diag["eta_bc"] = eta
-    y_scale = max(1.0, float(np.max(np.abs(sample.y_values))))
-    if not np.isfinite(eta) or abs(eta) < 1e-12 * y_scale:
+    if not np.isfinite(eta) or abs(eta) < 1e-12 * _y_scale(sample):
         return _fallback("plug-in bias constant vanished")
     try:
         value = _ce_optimal(q1, q2, q3, eta, s, sigma_x, n, diag)
@@ -800,7 +823,8 @@ def select(
     ZeroCurvatureError for fewer than two observations or zero spread, and
     an unknown rule raises ValueError; so does a local polynomial degree
     whose interior bias constant vanishes (even p with a symmetric kernel)
-    when ``boundary`` is not set, before any pilot runs.
+    or whose kernel moment matrix is singular (a higher-order kernel at p =
+    1 or 2) when ``boundary`` is not set, before any pilot runs.
     """
     # selectors are looked up by module name at call time so that a
     # patched (e.g. traced) selector is the one that runs

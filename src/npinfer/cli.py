@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 
 def _read_rows(path, columns):
+    """One float array per column from the non-blank rows after the header."""
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -57,37 +58,58 @@ def _read_rows(path, columns):
             raise SchemaError(
                 f"{path}: expected header {','.join(columns)!r}, found {','.join(header)!r}"
             )
-        out = [[] for _ in columns]
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {len(columns)}")
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
+        rows, numbers = [], []
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != len(columns):
                     raise ParseError(
-                        f"{path}: row {rownum}, column {columns[j]!r}: cannot parse {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {columns[j]!r}: non-finite value {cell!r}"
+                        f"{path}: row {rownum} has {len(row)} fields, expected {len(columns)}"
                     )
-                out[j].append(value)
-    return out
+                rows.append(row)
+                numbers.append(rownum)
+        except (ParseError, csv.Error, ValueError):
+            _parse_cells(path, columns, rows, numbers)  # a bad cell above is reported first
+            raise
+    if not rows:
+        return [np.empty(0) for _ in columns]
+    try:
+        values = [np.fromiter(map(float, cells), float, len(rows)) for cells in zip(*rows)]
+    except ValueError:
+        values = None
+    if values is None or not all(np.all(np.isfinite(v)) for v in values):
+        _parse_cells(path, columns, rows, numbers)
+    return values
+
+
+def _parse_cells(path, columns, rows, numbers):
+    """Check the cells one by one in file order; the first that is not a
+    finite float raises ParseError with its row number and column."""
+    for rownum, row in zip(numbers, rows):
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {rownum}, column {columns[j]!r}: cannot parse {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {rownum}, column {columns[j]!r}: non-finite value {cell!r}"
+                )
 
 
 def read_density_table(path) -> DensitySample:
     """Parse a single-column CSV (header ``x``) into a density sample."""
     (x,) = _read_rows(path, ("x",))
-    return DensitySample(np.array(x))
+    return DensitySample(x)
 
 
 def read_regression_table(path) -> RegressionSample:
     """Parse a two-column CSV (header ``x,y``) into a regression sample."""
     x, y = _read_rows(path, ("x", "y"))
-    return RegressionSample(np.array(x), np.array(y))
+    return RegressionSample(x, y)
 
 
 # ----------------------------------------------------------------------

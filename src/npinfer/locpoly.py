@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, lapack
 
 from .density import IntervalTriple, interval_triple
 from .errors import DegenerateSampleError, LeverageOneError, SingularDesignError
@@ -48,6 +49,12 @@ class RegressionSample:
     The canonical ordering makes every downstream computation, including
     nearest-neighbor tie-breaking by observation index, invariant to the
     order in which the data arrived.  Values and the covariate range must be finite.
+
+    The sample memoizes the x-free pilot quantities of the local polynomial
+    bandwidth selectors, so every evaluation point reuses them: the global
+    polynomial fits by degree, the covariates as a ``DensitySample`` with
+    their Silverman bandwidth, their sd and max(1, max|Y|).  A computation
+    that raises stores nothing, so it raises again on the next call.
     """
 
     x_values: np.ndarray
@@ -72,6 +79,18 @@ class RegressionSample:
     @property
     def n(self) -> int:
         return self.x_values.size
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Pilot quantities keyed by ``("gpoly", k)``, ``"xs"``,
+        ``"silverman"``, ``"sd"`` and ``"y_scale"``."""
+        return {}
+
+    def _memoized(self, key, compute):
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +166,8 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         Fewer than p+1 distinct in-window covariates of nonzero kernel
         weight, or the scaled Gram matrix has reciprocal condition below
         1e-12.
+    ValueError
+        A bandwidth so small that the scaled Gram matrix overflows.
     """
     if not (h > 0) or not np.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h!r}")
@@ -161,8 +182,10 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     X, Y = X[window], Y[window]
     u = (X - x) / h
     kvals = K.eval_many(u)
-    # edge rows of the window carry zero kernel weight and identify nothing
-    distinct = np.unique(X[kvals != 0]).size
+    # edge rows of the window carry zero kernel weight and identify nothing;
+    # the rest are sorted, so each value change starts a new distinct value
+    weighted = X[kvals != 0]
+    distinct = int(np.count_nonzero(weighted[1:] != weighted[:-1])) + 1 if weighted.size else 0
     if distinct < p + 1:
         raise SingularDesignError(
             f"only {distinct} distinct covariates inside the window at x={x} (need {p + 1})"
@@ -171,14 +194,20 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
     Rw = basis * (kvals / h)[:, None]
     G = basis.T @ Rw / n
     G = 0.5 * (G + G.T)
+    if not np.all(np.isfinite(G)):
+        raise ValueError(f"scaled design overflows at h={h!r}")
 
     eig = np.linalg.eigvalsh(G)
     if eig[0] <= 0 or eig[0] / eig[-1] < RCOND_CUTOFF:
         raise SingularDesignError(
             f"scaled design is numerically singular (rcond={eig[0] / eig[-1]:.3e})"
         )
-    factor = cho_factor(G)
-    g_inv = cho_solve(factor, np.eye(p + 1))
+    # the LAPACK calls of scipy's cho_factor and cho_solve, without their wrappers
+    chol, info = lapack.dpotrf(G, lower=0, clean=0)
+    if info == 0:
+        g_inv, info = lapack.dpotrs(chol, np.eye(p + 1), lower=0)
+    if info != 0:
+        raise LinAlgError(f"Cholesky factorization of the scaled design failed (info={info})")
 
     beta_scaled = g_inv @ (Rw.T @ Y) / n
     return LocPolyFit(

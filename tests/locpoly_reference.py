@@ -80,8 +80,7 @@ def whole_sample_lp_fit(
         raise SingularDesignError(
             f"scaled design is numerically singular (rcond={eig[0] / eig[-1]:.3e})"
         )
-    factor = cho_factor(G)
-    g_inv = cho_solve(factor, np.eye(p + 1))
+    g_inv = reference_g_inv(G)
 
     beta_scaled = g_inv @ (Rw.T @ Y) / n
     beta = beta_scaled / h ** np.arange(p + 1)
@@ -109,6 +108,11 @@ def whole_sample_lp_fit(
         g_inv=g_inv,
         beta_scaled=beta_scaled,
     )
+
+
+def reference_g_inv(G: np.ndarray) -> np.ndarray:
+    """G^-1 through scipy's ``cho_factor`` and ``cho_solve``, as ``lp_fit`` once did."""
+    return cho_solve(cho_factor(G), np.eye(G.shape[0]))
 
 
 def reference_nn_weights(sample: RegressionSample, rows: slice, J: int) -> np.ndarray:

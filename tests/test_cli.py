@@ -1,13 +1,17 @@
+import csv
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from npinfer import kernel, simulate
 from npinfer.bandwidth import RULES, select
-from npinfer.cli import main, read_density_table, read_regression_table
+from npinfer.cli import _read_rows, main, read_density_table, read_regression_table
 from npinfer.errors import ParseError, SchemaError
 
 
@@ -61,6 +65,100 @@ class TestReadTable:
         path = tmp_path / "t.csv"
         path.write_text("x,y\n0.1,ok\n")
         with pytest.raises(ParseError, match="column 'y'"):
+            read_regression_table(str(path))
+
+
+def _reference_read_rows(path, columns):
+    """The table reader as it was: every cell converted and checked in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        if header[: len(columns)] != list(columns) or len(header) != len(columns):
+            raise SchemaError(
+                f"{path}: expected header {','.join(columns)!r}, found {','.join(header)!r}"
+            )
+        out = [[] for _ in columns]
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(columns):
+                raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {len(columns)}")
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {rownum}, column {columns[j]!r}: cannot parse {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {rownum}, column {columns[j]!r}: non-finite value {cell!r}"
+                    )
+                out[j].append(value)
+    return [np.array(column, dtype=float) for column in out]
+
+
+def _read_outcome(read, path, columns):
+    try:
+        values = read(path, columns)
+    except (ParseError, SchemaError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return ("values",) + tuple((v.dtype.str, v.tobytes()) for v in values)
+
+
+# cells that Python's float reads and numpy might not, or that it rejects
+_CELL_FORMS = [
+    " 2.5 ", "1_0", "\t7", "infinity", "-Infinity", "nan", "1e400", "4.9e-325", "-0.0",
+    '"3.5"', '" 4 "', '"1,5"', '"1\n2"', "0x1p3", "abc", "", "  ", "1e-320",
+]
+_CELLS = st.one_of(
+    st.sampled_from(_CELL_FORMS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def _table_lines(draw, width):
+    """Data lines: mostly well-formed rows, with blank rows and wrong widths among them."""
+    def line():
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "commas", "short", "long"]))
+        if kind == "blank":
+            return ""
+        if kind == "spaces":
+            return " \t "
+        if kind == "commas":
+            return "," * (width - 1)
+        n = {"row": width, "short": width - 1, "long": width + 1}[kind]
+        return ",".join(draw(_CELLS) for _ in range(n))
+
+    return [line() for _ in range(draw(st.integers(0, 12)))]
+
+
+class TestReadRowsByColumn:
+    """The column-at-a-time reader against the cell-by-cell one it replaced."""
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), columns=st.sampled_from([("x",), ("x", "y")]), crlf=st.booleans())
+    def test_same_values_and_errors(self, data, columns, crlf, tmp_path):
+        lines = data.draw(_table_lines(len(columns)))
+        path = tmp_path / "t.csv"
+        path.write_bytes(("\r\n" if crlf else "\n").join([",".join(columns)] + lines).encode())
+        assert _read_outcome(_read_rows, str(path), columns) == _read_outcome(
+            _reference_read_rows, str(path), columns
+        )
+
+    @pytest.mark.parametrize("cell", _CELL_FORMS)
+    def test_each_cell_form(self, cell, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"x,y\n0.5,{cell}\n\n{cell},1\n")
+        assert _read_outcome(_read_rows, str(path), ("x", "y")) == _read_outcome(
+            _reference_read_rows, str(path), ("x", "y")
+        )
+
+    def test_bad_cell_reported_before_a_later_short_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y\n0,1\n0.5,oops\n1\n")
+        with pytest.raises(ParseError, match="row 3, column 'y': cannot parse 'oops'"):
             read_regression_table(str(path))
 
 
@@ -322,6 +420,19 @@ class TestRuleParity:
         error = _last_error(capsys)
         assert error["error"] == "ValueError"
         assert "degree p = 2 with kernel 'epanechnikov'" in error["message"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["lpreg", "infer", "--h", "auto"], ["bw", "--estimator", "lpreg", "--method", "mse"]],
+        ids=["lpreg-infer", "lpreg-bw"],
+    )
+    def test_singular_kernel_moments_exit_one(self, command, regression_csv, capsys):
+        code = main(command + ["--data", regression_csv, "--x", "0", "--kernel", "minvar-order4"])
+        assert code == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ValueError"
+        assert "kernel 'minvar-order4'" in error["message"]
+        assert "second moment vanishes" in error["message"]
 
     def test_sim_rule_checked_before_any_replication(self, capsys):
         code = main(["sim", "lpreg", "--model", "5", "--bw", "silverman", "--workers", "2"])

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from locpoly_reference import reference_lp_infer, reference_nn_weights, whole_sample_lp_fit
+from locpoly_reference import (
+    reference_g_inv,
+    reference_lp_infer,
+    reference_nn_weights,
+    whole_sample_lp_fit,
+)
 from npinfer import KernelSpec, kernel, locpoly
 from npinfer.errors import (
     DegenerateSampleError,
@@ -147,6 +152,61 @@ class TestFit:
         assert np.array_equal(np.arange(s.n)[fit.window], np.flatnonzero(mask))
         assert fit.effective_n == np.count_nonzero(mask)
         assert [v.hex() for v in fit.u] == [v.hex() for v in u[mask]]
+
+    @settings(max_examples=300)
+    @given(
+        # tied covariates, signed zeros among them, and grid points on the window's edges
+        xs=st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0]),
+                st.integers(-24, 24).map(lambda k: k / 8),
+                st.floats(-3.0, 3.0),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        x=st.one_of(st.integers(-16, 16).map(lambda k: k / 8), st.floats(-3.0, 3.0)),
+        h=st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(1e-2, 4.0)),
+        p=st.integers(0, 3),
+        K=st.sampled_from(["epanechnikov", "triangular", "uniform", "right"]),
+    )
+    def test_distinct_count_and_inverse_match_the_library_routines(self, xs, x, h, p, K):
+        # np.unique for the distinct count, cho_factor/cho_solve for G^-1, bit for bit
+        K = RIGHT if K == "right" else kernel(K)
+        s = RegressionSample(xs, np.sin(np.arange(len(xs), dtype=float)))
+        u = (s.x_values - x) / h
+        lo, hi = K.support
+        inside = (u >= lo) & (u <= hi)
+        distinct = np.unique(s.x_values[inside & (K.eval_many(u) != 0)]).size
+        try:
+            fit = lp_fit(s, x, p, h, K)
+        except SingularDesignError as exc:
+            if distinct < p + 1:
+                assert str(exc).startswith(f"only {distinct} distinct covariates")
+            else:
+                assert str(exc).startswith("scaled design is numerically singular")
+            return
+        assert distinct >= p + 1
+        assert fit.g_inv.tobytes() == reference_g_inv(fit.G).tobytes()
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        # cho_factor raised LinAlgError for a nonzero LAPACK info, and so does lp_fit
+        class Lapack:
+            @staticmethod
+            def dpotrf(G, **_kwargs):
+                return G, 2
+
+        monkeypatch.setattr(locpoly, "lapack", Lapack)
+        with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+            lp_fit(make_sample(np.random.default_rng(4), n=60), 0.0, 1, 0.5, EPA)
+
+    def test_overflowing_design_raises_value_error(self):
+        # K(0)/h overflows for a subnormal h; cho_factor's finiteness check raised ValueError
+        s = RegressionSample(np.linspace(0.0, 1.0, 11), np.arange(11.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="scaled design overflows"):
+                lp_fit(s, 0.5, 0, 1e-320, EPA)
 
     def test_g_is_spd(self):
         rng = np.random.default_rng(4)

@@ -296,6 +296,12 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="degree p = 2 with kernel 'epanechnikov'"):
             _lpreg_config(p=2, q=3, bw_rule=bw_rule)
 
+    @pytest.mark.parametrize("kernel_name", ["minvar-order4", "mseopt-order4"])
+    def test_singular_kernel_moments(self, kernel_name):
+        # a higher-order kernel's second moment vanishes: S is singular at p = 1
+        with pytest.raises(ConfigError, match=rf"kernel '{kernel_name}' .* p = 1: its second"):
+            _lpreg_config(kernel_name=kernel_name, bw_rule="mse")
+
     @pytest.mark.parametrize("overrides", [{"bw_rule": "fixed", "fixed_h": 0.3}, {"boundary": True}])
     def test_even_degree_stays_open_for_fixed_and_boundary(self, overrides):
         assert _lpreg_config(p=2, q=3, **overrides).p == 2
