@@ -1,6 +1,10 @@
 """Command-line interface: estimation, bandwidth selection, and simulation
 runs with persisted JSON/CSV artifacts and a reproducibility manifest.
 
+Commands: density infer, lpreg infer, bw, kernels show, and sim density|lpreg,
+whose --h-grid lo:hi:count sweeps a bandwidth grid on one set of replications.
+Only sim draws random numbers, so only sim takes --seed.
+
 Exit codes: 0 success, 2 usage error, 1 estimation error.  All errors are
 printed as one-line JSON objects on standard error.
 """
@@ -24,7 +28,7 @@ from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
 from .errors import ConfigError, NpinferError, ParseError, SchemaError
 from .kernels import TruncatedSupport, kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
-from .simulate import McConfig, bandwidth_grid_sweep, curve_rows, run_mc
+from .simulate import McConfig, bandwidth_grid_sweep, check_rho, curve_rows, run_mc
 
 __all__ = ["main", "read_density_table", "read_regression_table"]
 
@@ -156,7 +160,7 @@ def _emit(result, args, argv, config, inputs):
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        _write_manifest(out, argv, config, getattr(args, "seed", None), inputs, [out])
+        _write_manifest(out, argv, config, None, inputs, [out])
     else:
         print(text)
 
@@ -205,6 +209,7 @@ def _emit_inference(res, h, rule, sample, args, argv):
 
 
 def cmd_density_infer(args, argv):
+    check_rho("density", args.rho)
     sample = read_density_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel)
@@ -215,8 +220,7 @@ def cmd_density_infer(args, argv):
 
 
 def cmd_lpreg_infer(args, argv):
-    if args.rho <= 0:
-        raise ValueError("rho must be positive for local polynomial inference")
+    check_rho("lpreg", args.rho)
     sample = read_regression_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel or args.kernel)
@@ -262,12 +266,10 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sim(args, argv):
-    if args.sim_command == "sweep" and not args.h_grid:
-        raise SchemaError("sim sweep requires --h-grid lo:hi:count")
     if args.h_grid and not args.curves:
         raise SchemaError("--h-grid requires --curves for the output table")
     grid = _parse_grid(args.h_grid) if args.h_grid else None
-    estimator = args.sim_command if args.sim_command in ("density", "lpreg") else args.estimator
+    estimator = args.sim_command
     default_points = "-2,-1,0,1,2" if estimator == "density" else "-0.6667,-0.3333,0,0.3333,0.6667"
     points = _parse_points(default_points if args.points is None else args.points)
     x_law = _parse_points(args.x_law) if args.x_law else None
@@ -354,7 +356,7 @@ def cmd_kernels_show(args, argv):
 
 
 def _args_config(args) -> dict:
-    skip = {"func", "sim_command", "command"}
+    skip = {"func", "command"}
     return {
         key: value
         for key, value in sorted(vars(args).items())
@@ -366,97 +368,87 @@ def _args_config(args) -> dict:
 # parser assembly
 # ----------------------------------------------------------------------
 
-def _add_common_estimation(sp):
-    sp.add_argument("--data", required=True, help="input CSV path")
-    sp.add_argument("--x", type=float, required=True, help="evaluation point")
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--kernel", default="epanechnikov", choices=kernel_names())
-    sp.add_argument("--out", default=None, help="write JSON here (default: stdout)")
-    sp.add_argument("--seed", type=int, default=1)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    kernels = kernel_names()
     # a rule that the estimator lacks is an estimation error (exit 1), not a usage error
     all_rules = tuple(dict.fromkeys(rule for rules in RULES.values() for rule in rules))
+    # every option once; a command names the options it takes and overrides
+    # only the settings in which it differs
+    options = {
+        "--data": dict(required=True, help="input CSV path"),
+        "--x": dict(type=float, required=True, help="evaluation point"),
+        "--alpha": dict(type=float, default=0.05),
+        "--kernel": dict(default="epanechnikov", choices=kernels),
+        "--h": dict(default="auto", help="bandwidth value or 'auto'"),
+        "--bw": dict(default="dpi", choices=all_rules),
+        "--p": dict(type=int, default=1),
+        "--q": dict(type=int, default=2),
+        "--rho": dict(type=float, default=1.0),
+        "--kappa": dict(type=int, default=2),
+        "--bias-kernel": dict(default=None, choices=kernels),
+        "--vce": dict(default="hc3", choices=VarianceMethod.KINDS),
+        "--nn-neighbors": dict(type=int, default=3),
+        "--boundary": dict(action="store_true"),
+        "--out": dict(default=None, help="write JSON here (default: stdout)"),
+    }
+    estimation = ("--data", "--x", "--alpha", "--kernel")
     parser = _Parser(prog="npinfer", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dens = sub.add_parser("density", help="kernel density estimation")
-    dens_sub = dens.add_subparsers(dest="subcommand", required=True)
-    d_inf = dens_sub.add_parser("infer", help="point estimate and US/BC/RBC intervals")
-    _add_common_estimation(d_inf)
-    d_inf.add_argument("--h", default="auto", help="bandwidth value or 'auto'")
-    d_inf.add_argument("--bw", default="dpi", choices=RULES["density"])
-    d_inf.add_argument("--rho", type=float, default=1.0)
-    d_inf.add_argument("--kappa", type=int, default=2)
-    d_inf.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
-    d_inf.set_defaults(func=cmd_density_infer)
+    def command(name, summary, func, names, **overrides):
+        """A command parser with the named options; overrides are keyed by dest."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        for option in names:
+            dest = option[2:].replace("-", "_")
+            sp.add_argument(option, **{**options[option], **overrides.get(dest, {})})
+        return sp
 
-    lp = sub.add_parser("lpreg", help="local polynomial regression")
-    lp_sub = lp.add_subparsers(dest="subcommand", required=True)
-    l_inf = lp_sub.add_parser("infer", help="point estimate and US/BC/RBC intervals")
-    _add_common_estimation(l_inf)
-    l_inf.add_argument("--h", default="auto", help="bandwidth value or 'auto'")
-    l_inf.add_argument("--bw", default="dpi", choices=RULES["lpreg"])
-    l_inf.add_argument("--p", type=int, default=1)
-    l_inf.add_argument("--q", type=int, default=2)
-    l_inf.add_argument("--rho", type=float, default=1.0)
-    l_inf.add_argument("--vce", default="hc3", choices=VarianceMethod.KINDS)
-    l_inf.add_argument("--nn-neighbors", type=int, default=3)
-    l_inf.add_argument("--bias-kernel", default=None, choices=kernel_names())
-    l_inf.add_argument("--boundary", action="store_true")
-    l_inf.set_defaults(func=cmd_lpreg_infer)
-
-    bw = sub.add_parser("bw", help="bandwidth selection")
-    _add_common_estimation(bw)
+    dens = command(
+        "density", "kernel density estimation", cmd_density_infer,
+        estimation + ("--h", "--bw", "--rho", "--kappa", "--bias-kernel", "--out"),
+        bw=dict(choices=RULES["density"]), bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
+    )
+    dens.add_argument("subcommand", choices=("infer",))
+    lp = command(
+        "lpreg", "local polynomial regression", cmd_lpreg_infer,
+        estimation + ("--h", "--bw", "--p", "--q", "--rho", "--vce", "--nn-neighbors",
+                      "--bias-kernel", "--boundary", "--out"),
+        bw=dict(choices=RULES["lpreg"]),
+    )
+    lp.add_argument("subcommand", choices=("infer",))
+    bw = command(
+        "bw", "bandwidth selection", cmd_bw,
+        estimation + ("--p", "--kappa", "--bias-kernel", "--boundary", "--out"),
+        bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
+    )
     bw.add_argument("--method", default="dpi", choices=all_rules)
     bw.add_argument("--estimator", default="density", choices=tuple(RULES))
-    bw.add_argument("--p", type=int, default=1)
-    bw.add_argument("--kappa", type=int, default=2)
-    bw.add_argument("--bias-kernel", default=DEFAULT_BIAS_KERNEL, choices=kernel_names())
-    bw.add_argument("--boundary", action="store_true")
-    bw.set_defaults(func=cmd_bw)
-
-    sim = sub.add_parser("sim", help="Monte Carlo studies")
-    sim_sub = sim.add_subparsers(dest="sim_command", required=True)
-    for name in ("density", "lpreg", "sweep"):
-        ss = sim_sub.add_parser(name)
-        ss.add_argument("--model", type=int, required=True)
-        ss.add_argument("--n", type=int, default=500)
-        ss.add_argument("--reps", type=int, default=2000)
-        ss.add_argument("--bw", default="dpi", choices=all_rules)
-        ss.add_argument("--h", type=float, default=None, help="fixed bandwidth override")
-        ss.add_argument("--h-grid", default=None, help="lo:hi:count sweep grid")
-        ss.add_argument("--points", default=None, help="comma-separated evaluation points")
-        ss.add_argument("--alpha", type=float, default=0.05)
-        ss.add_argument("--p", type=int, default=1)
-        ss.add_argument("--q", type=int, default=2)
-        ss.add_argument("--rho", type=float, default=1.0)
-        ss.add_argument("--kappa", type=int, default=2)
-        ss.add_argument("--kernel", default="epanechnikov", choices=kernel_names())
-        ss.add_argument("--bias-kernel", default=None, choices=kernel_names())
-        ss.add_argument("--vce", default="hc3", choices=VarianceMethod.KINDS)
-        ss.add_argument("--nn-neighbors", type=int, default=3)
-        ss.add_argument("--boundary", action="store_true")
-        ss.add_argument("--x-law", default=None, help="lo,hi uniform support override")
-        ss.add_argument("--seed", type=int, default=1)
-        ss.add_argument("--workers", type=_worker_count, default=None)
-        ss.add_argument("--out", default=None)
-        ss.add_argument("--curves", default=None)
-        if name == "sweep":
-            ss.add_argument("--estimator", default="lpreg", choices=tuple(RULES))
-        ss.set_defaults(func=cmd_sim)
-
-    kern = sub.add_parser("kernels", help="kernel inspection")
-    kern_sub = kern.add_subparsers(dest="subcommand", required=True)
-    show = kern_sub.add_parser("show")
-    show.add_argument("--kernel", required=True, choices=kernel_names())
-    show.add_argument("--moment", default="mu0", help="muK or thetaK")
-    show.add_argument("--at", type=float, default=None, help="evaluate the kernel at u")
-    show.add_argument("--trunc", default=None, help="lo,hi truncated support")
-    show.set_defaults(func=cmd_kernels_show)
-
+    sim = command(
+        "sim", "Monte Carlo studies", cmd_sim,
+        ("--bw", "--h", "--alpha", "--p", "--q", "--rho", "--kappa", "--kernel",
+         "--bias-kernel", "--vce", "--nn-neighbors", "--boundary", "--out"),
+        h=dict(type=float, default=None, help="fixed bandwidth override"),
+    )
+    sim.add_argument("sim_command", choices=tuple(RULES))
+    sim.add_argument("--model", type=int, required=True)
+    sim.add_argument("--n", type=int, default=500)
+    sim.add_argument("--reps", type=int, default=2000)
+    sim.add_argument("--h-grid", default=None, help="lo:hi:count sweep grid")
+    sim.add_argument("--points", default=None, help="comma-separated evaluation points")
+    sim.add_argument("--x-law", default=None, help="lo,hi uniform support override")
+    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--workers", type=_worker_count, default=None)
+    sim.add_argument("--curves", default=None)
+    kern = command(
+        "kernels", "kernel inspection", cmd_kernels_show, ("--kernel",),
+        kernel=dict(required=True),
+    )
+    kern.add_argument("subcommand", choices=("show",))
+    kern.add_argument("--moment", default="mu0", help="muK or thetaK")
+    kern.add_argument("--at", type=float, default=None, help="evaluate the kernel at u")
+    kern.add_argument("--trunc", default=None, help="lo,hi truncated support")
     return parser
 
 

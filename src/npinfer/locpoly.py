@@ -167,10 +167,13 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         weight, or the scaled Gram matrix has reciprocal condition below
         1e-12.
     ValueError
-        A bandwidth so small that the scaled Gram matrix overflows.
+        A bandwidth so small that 1/h, the scale of the design's kernel
+        weights K(u)/h, or the scaled Gram matrix overflows.
     """
     if not (h > 0) or not np.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h!r}")
+    if math.isinf(1.0 / float(h)):
+        raise ValueError(f"scaled design overflows at h={h!r}")
     if p < 0:
         raise ValueError("p must be nonnegative")
     n = sample.n

@@ -189,6 +189,17 @@ def _config_checked(build, *args):
         raise ConfigError(str(exc)) from exc
 
 
+def check_rho(estimator: str, rho: float) -> None:
+    """rho = h/b must be finite, and positive for lpreg or nonnegative for
+    density (rho = 0 there means b = inf: no bias correction)."""
+    if not math.isfinite(rho):
+        raise ConfigError(f"rho must be finite, got {rho!r}")
+    if estimator == "lpreg" and not rho > 0:
+        raise ConfigError(f"rho must be positive for local polynomial estimation, got {rho!r}")
+    if rho < 0:
+        raise ConfigError(f"rho must be nonnegative, got {rho!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo experiment.
@@ -235,8 +246,7 @@ class McConfig:
             _config_checked(kernel, self.bias_kernel_name)
         if self.estimator == "lpreg":
             _config_checked(VarianceMethod, self.vce, self.nn_neighbors)
-        if not math.isfinite(self.rho):
-            raise ConfigError(f"rho must be finite, got {self.rho!r}")
+        check_rho(self.estimator, self.rho)
         if self.estimator == "density" and (self.rho > 0 or self.bw_rule == "dpi"):
             # the bias kernel's kappa-th derivative enters the bias estimate
             # and the induced kernel; rho = 0 without DPI never forms it
@@ -258,12 +268,8 @@ class McConfig:
             raise ConfigError(
                 f"local polynomial simulations require q > p >= 0, got p={self.p}, q={self.q}"
             )
-        if self.estimator == "lpreg" and not self.rho > 0:
-            raise ConfigError("local polynomial simulations require rho > 0")
         if self.estimator == "lpreg" and self.bw_rule != "fixed" and not self.boundary:
             _config_checked(_lp_bias_constants, kernel(self.kernel_name), self.p)
-        if self.estimator == "density" and self.rho < 0:
-            raise ConfigError("rho must be nonnegative")
         if self.estimator == "density" and self.model not in DENSITY_MODELS:
             raise ConfigError(f"unknown density model {self.model}")
         if self.estimator == "lpreg" and self.model not in REGRESSION_MODELS:

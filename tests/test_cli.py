@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from npinfer import kernel, simulate
+from npinfer import cli, kernel, simulate
 from npinfer.bandwidth import RULES, select
-from npinfer.cli import _read_rows, main, read_density_table, read_regression_table
+from npinfer.cli import _read_rows, build_parser, main, read_density_table, read_regression_table
 from npinfer.errors import ParseError, SchemaError
 
 
@@ -203,6 +204,45 @@ class TestExitCodes:
         assert payload["error"] == "SingularDesignError"
 
 
+class TestParser:
+    def test_one_parser_per_command(self, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser()
+        assert sorted(parser.prog for parser in made) == [
+            "npinfer", "npinfer bw", "npinfer density", "npinfer kernels", "npinfer lpreg",
+            "npinfer sim",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["sim", "sweep", "--estimator", "lpreg", "--model", "5", "--h-grid", "0.3:0.5:2",
+              "--curves", "c.csv"], "invalid choice: 'sweep'"),
+            (["density", "infer", "--data", "d.csv", "--x", "0", "--seed", "1"],
+             "unrecognized arguments: --seed 1"),
+            (["lpreg", "infer", "--data", "r.csv", "--x", "0", "--seed", "1"],
+             "unrecognized arguments: --seed 1"),
+            (["bw", "--data", "d.csv", "--x", "0", "--seed", "1"],
+             "unrecognized arguments: --seed 1"),
+        ],
+        ids=["sim-sweep", "density-infer-seed", "lpreg-infer-seed", "bw-seed"],
+    )
+    def test_removed_spellings_are_usage_errors(self, argv, fragment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = _last_error(capsys)
+        assert error["error"] == "usage"
+        assert fragment in error["message"]
+
+
 class TestDensityInferCommand:
     def test_json_payload_and_manifest(self, density_csv, tmp_path, capsys):
         out = tmp_path / "res.json"
@@ -224,7 +264,8 @@ class TestDensityInferCommand:
 
         manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
         assert manifest["version"]
-        assert manifest["seed"] == 1
+        # no density infer option draws random numbers, so it takes no --seed
+        assert manifest["seed"] is None
         assert density_csv in manifest["inputs"]
         assert len(manifest["inputs"][density_csv]) == 64  # sha256 hex
         assert str(out) in manifest["outputs"]
@@ -410,6 +451,29 @@ class TestRuleParity:
         assert "rho must be finite" in error["message"]
 
     @pytest.mark.parametrize(
+        "estimator, rho, fragment",
+        [
+            ("density", "nan", "rho must be finite, got nan"),
+            ("density", "inf", "rho must be finite, got inf"),
+            ("density", "-1", "rho must be nonnegative, got -1.0"),
+            ("lpreg", "nan", "rho must be finite, got nan"),
+            ("lpreg", "inf", "rho must be finite, got inf"),
+            ("lpreg", "-1", "rho must be positive for local polynomial estimation, got -1.0"),
+        ],
+    )
+    def test_infer_rho_checked_before_any_work(self, estimator, rho, fragment, monkeypatch,
+                                               capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(cli, "_read_rows", must_not_run)
+        argv = [estimator, "infer", "--data", "t.csv", "--x", "0", "--rho", rho]
+        assert main(argv) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ConfigError"
+        assert fragment in error["message"]
+
+    @pytest.mark.parametrize(
         "command",
         [["lpreg", "infer", "--h", "auto", "--q", "3"], ["bw", "--estimator", "lpreg"]],
         ids=["lpreg-infer", "lpreg-bw"],
@@ -458,7 +522,7 @@ class TestSimCommand:
         curves = tmp_path / "c.csv"
         code = main(
             [
-                "sim", "sweep", "--estimator", "lpreg", "--model", "5",
+                "sim", "lpreg", "--model", "5",
                 "--n", "60", "--reps", "4", "--points", "0",
                 "--h-grid", "0.2:0.4:2", "--curves", str(curves),
                 "--seed", "3", "--workers", "1",
@@ -480,29 +544,21 @@ class TestSimCommand:
         assert code == 0
         assert curves.read_text().splitlines()[1:] == [",US,,,", ",BC,,,", ",RBC,,,"]
 
-    def test_sweep_requires_grid(self, capsys):
-        code = main(
-            ["sim", "sweep", "--estimator", "lpreg", "--model", "5",
-             "--n", "50", "--reps", "2", "--points", "0", "--curves", "x.csv"]
-        )
-        assert code == 1
-
     @pytest.mark.parametrize(
         "args, error, fragment",
         [
             (["sim", "lpreg", "--h-grid", "0.2:0.4:2"], "SchemaError", "requires --curves"),
-            (["sim", "sweep", "--curves", "x.csv"], "SchemaError", "requires --h-grid"),
             (["sim", "lpreg", "--h-grid", "0.3:inf:2", "--curves", "x.csv"], "ValueError", "< inf"),
-            (["sim", "sweep", "--h-grid", "nan:0.4:2", "--curves", "x.csv"], "ValueError", "< inf"),
-            (["sim", "sweep", "--h-grid", "0.2:nan:2", "--curves", "x.csv"], "ValueError", "< inf"),
+            (["sim", "lpreg", "--h-grid", "nan:0.4:2", "--curves", "x.csv"], "ValueError", "< inf"),
+            (["sim", "lpreg", "--h-grid", "0.2:nan:2", "--curves", "x.csv"], "ValueError", "< inf"),
             (["sim", "lpreg", "--points", ""], "ConfigError", "evaluation_points must not be empty"),
-            (["sim", "sweep", "--h-grid", "0.2:0.4:2.5", "--curves", "x.csv"], "SchemaError",
+            (["sim", "lpreg", "--h-grid", "0.2:0.4:2.5", "--curves", "x.csv"], "SchemaError",
              "--h-grid expects lo:hi:count"),
             (["sim", "lpreg", "--x-law", "1"], "ConfigError", "x_law must be a pair"),
             (["sim", "lpreg", "--x-law", "0,0"], "ConfigError", "x_law must be a pair"),
             (["sim", "lpreg", "--p", "2", "--q", "3"], "ConfigError", "degree p = 2"),
         ],
-        ids=["grid-without-curves", "sweep-without-grid", "inf-hi", "nan-lo", "nan-hi",
+        ids=["grid-without-curves", "inf-hi", "nan-lo", "nan-hi",
              "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
              "even-degree"],
     )

@@ -137,11 +137,11 @@ def cli_argv(name, density_csv, regression_csv) -> list:
 
 
 def curves_argv(name, path) -> list:
-    argv = ["sim", name, "--model", "5", "--n", "200", "--reps", "4", "--points=-0.3,0",
+    argv = ["sim", "lpreg", "--model", "5", "--n", "200", "--reps", "4", "--points=-0.3,0",
             "--seed", "11", "--workers", "1", "--curves", path]
     if name == "sweep":
-        return argv + ["--estimator", "lpreg", "--h-grid", "0.3:0.5:2"]
-    return argv[:1] + ["lpreg"] + argv[2:] + ["--out", path + ".json"]
+        return argv + ["--h-grid", "0.3:0.5:2"]
+    return argv + ["--out", path + ".json"]
 
 
 def sha256(data: bytes) -> str:

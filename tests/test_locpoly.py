@@ -201,12 +201,16 @@ class TestFit:
             lp_fit(make_sample(np.random.default_rng(4), n=60), 0.0, 1, 0.5, EPA)
 
     def test_overflowing_design_raises_value_error(self):
-        # K(0)/h overflows for a subnormal h; cho_factor's finiteness check raised ValueError
-        s = RegressionSample(np.linspace(0.0, 1.0, 11), np.arange(11.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ValueError, match="scaled design overflows"):
-                lp_fit(s, 0.5, 0, 1e-320, EPA)
+        # 1/h overflows for h = 1e-320: rejected before the window search, with
+        # no RuntimeWarning, at every degree and whether or not x is a data point
+        samples = [
+            (gen_regression_sample(REGRESSION_MODELS[5], 200, np.random.default_rng(0)), 0.0),
+            (RegressionSample(np.linspace(0.0, 1.0, 11), np.arange(11.0)), 0.5),
+        ]
+        for s, x in samples:
+            for p in (0, 1, 2):
+                with pytest.raises(ValueError, match=r"scaled design overflows at h=1e-320"):
+                    lp_fit(s, x, p, 1e-320, EPA)
 
     def test_g_is_spd(self):
         rng = np.random.default_rng(4)
