@@ -193,10 +193,23 @@ def _resolve_workers(args) -> int:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _infer_bandwidth(args, sample, K, **options):
-    """(h, rule) of an infer command: the fixed --h, or what the --bw rule selects."""
-    if args.h != "auto":
-        return float(args.h), "fixed"
+def _fixed_bandwidth(text):
+    """The --h of an infer command: None for 'auto', else a positive finite float."""
+    if text == "auto":
+        return None
+    try:
+        h = float(text)
+    except ValueError:
+        h = math.nan
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"--h must be 'auto' or a positive finite number, got {text!r}")
+    return h
+
+
+def _infer_bandwidth(h, args, sample, K, **options):
+    """(h, rule) of an infer command: the fixed h, or what the --bw rule selects."""
+    if h is not None:
+        return h, "fixed"
     return select(args.bw, sample, args.x, K, alpha=args.alpha, **options).value, args.bw
 
 
@@ -210,10 +223,11 @@ def _emit_inference(res, h, rule, sample, args, argv):
 
 def cmd_density_infer(args, argv):
     check_rho("density", args.rho)
+    h = _fixed_bandwidth(args.h)
     sample = read_density_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel)
-    h, rule = _infer_bandwidth(args, sample, K, L=L, kappa=args.kappa)
+    h, rule = _infer_bandwidth(h, args, sample, K, L=L, kappa=args.kappa)
     b = math.inf if args.rho == 0 else h / args.rho
     res = density_infer(sample, args.x, h, b, K, L, args.kappa, args.alpha)
     return _emit_inference(res, h, rule, sample, args, argv)
@@ -221,10 +235,11 @@ def cmd_density_infer(args, argv):
 
 def cmd_lpreg_infer(args, argv):
     check_rho("lpreg", args.rho)
+    h = _fixed_bandwidth(args.h)
     sample = read_regression_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel or args.kernel)
-    h, rule = _infer_bandwidth(args, sample, K, p=args.p, boundary=args.boundary)
+    h, rule = _infer_bandwidth(h, args, sample, K, p=args.p, boundary=args.boundary)
     method = VarianceMethod(args.vce, args.nn_neighbors)
     res = lp_infer(sample, args.x, args.p, args.q, h, h / args.rho, K, L, args.alpha, method)
     return _emit_inference(res, h, rule, sample, args, argv)

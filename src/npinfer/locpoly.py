@@ -178,10 +178,16 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         raise ValueError("p must be nonnegative")
     n = sample.n
     X, Y = sample.x_values, sample.y_values
-    # (X_i - x)/h does not decrease in i, so the support's rows are one slice
+    # (X_i - x)/h does not decrease in i, so the support's rows are one slice;
+    # the keys are Python floats, whose overflow to inf is silent
     lo, hi = K.support
-    start = bisect_left(X, lo, key=lambda xi: (xi - x) / h)
-    window = slice(start, bisect_right(X, hi, lo=start, key=lambda xi: (xi - x) / h))
+    xf, hf = float(x), float(h)
+
+    def key(xi):
+        return (float(xi) - xf) / hf
+
+    start = bisect_left(X, lo, key=key)
+    window = slice(start, bisect_right(X, hi, lo=start, key=key))
     X, Y = X[window], Y[window]
     u = (X - x) / h
     kvals = K.eval_many(u)

@@ -6,13 +6,18 @@ Philox stream keyed by (s, r), so results are identical for any worker
 count; uniforms are mapped to Normals by the inverse CDF.  Aggregation
 happens single-threaded in replication order, which makes the assembled
 report byte-for-byte reproducible.  A bandwidth sweep is one such run:
-each sample is drawn once for every grid bandwidth, in one process pool.
+each sample is drawn once for every grid bandwidth.  Every multi-worker run
+of a process uses one process pool, started by the first such run and kept
+until exit, so its workers see npinfer's module state as it was when they
+forked.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product, repeat
@@ -383,14 +388,36 @@ def _one_replication(config: McConfig, rep: int, h_grid=(None,)) -> list:
     return out
 
 
+# ((pid, workers), pool): this process's one process pool, kept between calls
+_POOL = None
+
+
 def _run_replications(config: McConfig, rep_fn, workers: int) -> list:
-    """``rep_fn(config, r)`` for every replication r, in replication order."""
+    """``rep_fn(config, r)`` for every replication r, in replication order.
+
+    More than one worker runs on this process's pool, started on first use
+    and kept; a pool of another size is shut down first, so at most one is
+    alive.  A forked child finds its parent's pool under another pid and
+    leaves it alone.  concurrent.futures joins the workers at interpreter exit.
+    """
+    global _POOL
     reps = range(config.replications)
     if workers <= 1:
         return list(map(rep_fn, repeat(config), reps))
+    key = (os.getpid(), workers)
+    if _POOL is None or _POOL[0] != key:
+        if _POOL is not None and _POOL[0][0] == key[0]:
+            _POOL[1].shutdown(wait=True)
+        _POOL = (key, ProcessPoolExecutor(max_workers=workers))
+    pool = _POOL[1]
     chunk = max(1, math.ceil(len(reps) / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    try:
         return list(pool.map(rep_fn, repeat(config), reps, chunksize=chunk))
+    except BrokenProcessPool:
+        # this call fails; the next one starts a fresh pool
+        _POOL = None
+        pool.shutdown(wait=True)
+        raise
 
 
 # ----------------------------------------------------------------------

@@ -473,6 +473,19 @@ class TestRuleParity:
         assert error["error"] == "ConfigError"
         assert fragment in error["message"]
 
+    @pytest.mark.parametrize("estimator", ["density", "lpreg"])
+    @pytest.mark.parametrize("h", ["abc", "nan", "inf", "0", "-1"])
+    def test_infer_h_checked_before_any_work(self, estimator, h, monkeypatch, capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(cli, "_read_rows", must_not_run)
+        argv = [estimator, "infer", "--data", "t.csv", "--x", "0", "--h", h]
+        assert main(argv) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ConfigError"
+        assert f"--h must be 'auto' or a positive finite number, got {h!r}" in error["message"]
+
     @pytest.mark.parametrize(
         "command",
         [["lpreg", "infer", "--h", "auto", "--q", "3"], ["bw", "--estimator", "lpreg"]],

@@ -212,6 +212,20 @@ class TestFit:
                 with pytest.raises(ValueError, match=r"scaled design overflows at h=1e-320"):
                     lp_fit(s, x, p, 1e-320, EPA)
 
+    def test_overflowing_window_keys_warn_nothing(self):
+        # (X_i - x)/h overflows for covariates 1e300 away from x at h = 1e-10,
+        # and for every covariate at h = 6e-309; the window is the same and no
+        # warning of any kind is raised
+        inner = np.linspace(-1e-10, 1e-10, 21)
+        far = RegressionSample(np.concatenate([[-1e300], inner, [1e300]]),
+                               np.concatenate([[0.0], 11.0 + 1e10 * inner, [0.0]]))
+        model5 = gen_regression_sample(REGRESSION_MODELS[5], 200, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_fit(far, 0.0, 1, 1e-10, EPA).beta_hat[0] == pytest.approx(11.0, rel=1e-12)
+            with pytest.raises(SingularDesignError):
+                lp_fit(model5, -1.0, 1, 6e-309, EPA)
+
     def test_g_is_spd(self):
         rng = np.random.default_rng(4)
         s = make_sample(rng, n=60, fn=np.cos)

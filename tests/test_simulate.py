@@ -1,11 +1,17 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import npinfer
 from npinfer import simulate
 from npinfer.errors import ConfigError, NpinferError
 from npinfer.simulate import (
@@ -265,6 +271,91 @@ def _lpreg_config(**overrides):
     return McConfig(**settings)
 
 
+def _shut_down_pool():
+    if simulate._POOL is not None:
+        simulate._POOL[1].shutdown(wait=True)
+        simulate._POOL = None
+
+
+@pytest.fixture
+def no_pool():
+    """Start the test with no process pool and shut down the one it leaves
+    (a shut-down pool must not be restored into the cache)."""
+    _shut_down_pool()
+    yield
+    _shut_down_pool()
+
+
+def _pid(config, rep):
+    return os.getpid()
+
+
+def _exit_worker(config, rep):
+    os._exit(3)
+
+
+def _worker_pids(workers, rep_fn=_pid):
+    return set(simulate._run_replications(_lpreg_config(replications=8), rep_fn, workers))
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestProcessPool:
+    def test_consecutive_calls_run_on_the_same_workers(self, no_pool):
+        first = _worker_pids(2)
+        workers = _children()
+        second = _worker_pids(2)
+        assert len(workers) == 2
+        assert first | second <= workers
+        assert _children() == workers
+
+    def test_repeated_pooled_reports_equal_the_one_worker_report(self, no_pool):
+        cfg = _lpreg_config(replications=8, evaluation_points=(0.0, 0.5), seed=17)
+        want = report_bytes(run_mc(cfg, workers=1))
+        assert [report_bytes(run_mc(cfg, workers=2)) for _ in range(3)] == [want] * 3
+
+    def test_another_worker_count_replaces_the_pool(self, no_pool):
+        _worker_pids(2)
+        old = _children()
+        assert _worker_pids(3) <= _children()
+        assert len(old) == 2 and len(_children()) == 3
+        assert not old & _children()
+        assert not any(_alive(pid) for pid in old)
+
+    def test_a_broken_pool_fails_its_call_and_the_next_call_gets_a_new_one(self, no_pool):
+        with pytest.raises(BrokenProcessPool):
+            _worker_pids(2, _exit_worker)
+        assert _worker_pids(2) <= _children()
+        assert len(_children()) == 2
+
+    def test_no_worker_outlives_the_interpreter(self):
+        script = (
+            "import json, multiprocessing\n"
+            "from npinfer.simulate import McConfig, run_mc\n"
+            "cfg = McConfig(estimator='lpreg', model=5, n=100, replications=8,\n"
+            "               evaluation_points=(0.0,), bw_rule='rot')\n"
+            "run_mc(cfg, workers=2)\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
+        )
+        path = [os.path.dirname(os.path.dirname(npinfer.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        pids = json.loads(done.stdout)
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+
 class TestConfigErrors:
     """Each invalid setting fails at construction, before any replication."""
 
@@ -457,7 +548,7 @@ class TestSweep:
         assert len(rows) == 4 * 2 * 3
         assert len(drawn) == cfg.replications
 
-    def test_sweep_starts_one_process_pool(self, monkeypatch):
+    def test_sweep_and_run_mc_share_one_process_pool(self, no_pool, monkeypatch):
         pools = []
 
         class CountingPool(simulate.ProcessPoolExecutor):
@@ -468,6 +559,7 @@ class TestSweep:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
         cfg = _lpreg_config(n=60, replications=4)
         bandwidth_grid_sweep(cfg, [0.2, 0.3, 0.5], workers=2)
+        run_mc(cfg, workers=2)
         assert pools == [{"max_workers": 2}]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
