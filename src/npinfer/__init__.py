@@ -21,6 +21,7 @@ from .kernels import (
     KernelSpec,
     TruncatedSupport,
     custom_kernel,
+    gj_equivalent_kernel,
     induced_kernel,
     kernel,
     kernel_names,
@@ -30,11 +31,11 @@ from .density import (
     ConfidenceInterval,
     DensityInference,
     DensitySample,
+    critical_value,
     density_derivative_estimate,
     density_infer,
     density_point_estimate,
     gj_density_estimate,
-    gj_equivalent_kernel,
 )
 from .locpoly import (
     LocPolyFit,
@@ -49,15 +50,12 @@ from .locpoly import (
 from .bandwidth import (
     RULES,
     BandwidthChoice,
-    CoveragePolys,
-    coverage_polys_density,
+    coverage_polys,
     dpi_bandwidth_density,
     dpi_bandwidth_lp,
     global_poly_derivative,
     minimize_ce_objective,
-    mse_bandwidth_density_normal_ref,
     mse_bandwidth_lp,
-    population_mse_bandwidth_density,
     rot_bandwidth,
     select,
     silverman_rot_density,

@@ -23,9 +23,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
-from .density import DensitySample, density_derivative_estimate, density_point_estimate
+from .density import (
+    DensitySample,
+    critical_value,
+    density_derivative_estimate,
+    density_point_estimate,
+)
 from .errors import (
     MonotoneObjectiveError,
     SingularDesignError,
@@ -35,16 +39,12 @@ from .kernels import KernelSpec, TruncatedSupport, induced_kernel, kernel, minva
 from .locpoly import LocPolyFit, RegressionSample, lp_fit
 
 __all__ = [
-    "CoveragePolys",
     "BandwidthChoice",
     "RULES",
     "select",
-    "coverage_polys_at",
-    "coverage_polys_density",
+    "coverage_polys",
     "normal_reference_density_derivative",
-    "mse_bandwidth_density_normal_ref",
     "mse_bandwidth_density_reference",
-    "population_mse_bandwidth_density",
     "silverman_rot_density",
     "rot_bandwidth",
     "dpi_bandwidth_density",
@@ -59,24 +59,14 @@ __all__ = [
 # coverage-error polynomials
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoveragePolys:
-    """Values of the three coverage-error polynomials at z_{alpha/2}."""
-
-    q1: float
-    q2: float
-    q3: float
-    alpha: float
-
-
-def coverage_polys_at(N: KernelSpec, z: float):
-    """Evaluate (q1, q2, q3) for kernel N at an arbitrary quantile z.
+def coverage_polys(N: KernelSpec, z: float) -> tuple:
+    """The coverage-error polynomials (q1, q2, q3) of kernel N at the quantile z.
 
     q1 = t2^-2 t4 (z^3 - 3z)/6 - t2^-3 t3^2 [2z^3/3 + (z^5 - 10z^3 + 15z)/9]
     q2 = -t2^-1 z
     q3 = t2^-2 t3 (2z^3/3)
 
-    with t_k the integral of N(u)^k.
+    with t_k the integral of N(u)^k.  The selectors take z = critical_value(alpha).
     """
     t2 = N.moment_theta(2)
     t3 = N.moment_theta(3)
@@ -87,15 +77,6 @@ def coverage_polys_at(N: KernelSpec, z: float):
     q2 = -z / t2
     q3 = t2**-2 * t3 * (2 * z**3 / 3.0)
     return q1, q2, q3
-
-
-def coverage_polys_density(N: KernelSpec, alpha: float) -> CoveragePolys:
-    """The polynomials at the two-sided Normal critical value for level 1-alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = float(ndtri(1.0 - alpha / 2.0))
-    q1, q2, q3 = coverage_polys_at(N, z)
-    return CoveragePolys(q1=q1, q2=q2, q3=q3, alpha=alpha)
 
 
 # ----------------------------------------------------------------------
@@ -174,41 +155,6 @@ def mse_bandwidth_density_reference(
     )
 
 
-def population_mse_bandwidth_density(density, x: float, n: int, K: KernelSpec) -> float:
-    """Population bandwidth at which squared bias equals variance exactly.
-
-    Solves n h bias(h)^2 = sigma^2(h) with the exact fixed-n population
-    quantities bias(h) = int K(u) f(x - uh) du - f(x) and sigma^2(h) =
-    int K(u)^2 f(x - uh) du - h (int K(u) f(x - uh) du)^2 computed by
-    quadrature against the true density.  At this bandwidth the
-    undersmoothed t-statistic has bias/sd ratio one, so the nominal-95%
-    interval covers with probability near 0.83; the closed-form
-    normal-reference rule is the large-n limit of this balance point.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    f_x = float(density(x))
-
-    def moments(h):
-        ek = ek2 = 0.0
-        for lo, hi, _ in K.pieces:
-            ek += quad(lambda u: K(u) * density(x - u * h), float(lo), float(hi))[0]
-            ek2 += quad(lambda u: K(u) ** 2 * density(x - u * h), float(lo), float(hi))[0]
-        return ek - f_x, ek2 - h * ek**2
-
-    def gap(h):
-        bias, sig2 = moments(h)
-        return n * h * bias**2 - sig2
-
-    lo, hi = 1e-3, 1e-3
-    while gap(hi) < 0:
-        hi *= 1.6
-        if hi > 1e3:
-            raise ZeroCurvatureError("population balance bandwidth not found")
-    return float(brentq(gap, lo if gap(lo) < 0 else hi / 1e3, hi, xtol=1e-10))
-
-
 def _sample_sd(values: np.ndarray) -> float:
     """Sample standard deviation (ddof = 1): the one check that a sample has spread.
 
@@ -223,15 +169,6 @@ def _sample_sd(values: np.ndarray) -> float:
     if values[0] == values[-1] or sd <= 0:
         raise ZeroCurvatureError("sample standard deviation is zero")
     return sd
-
-
-def mse_bandwidth_density_normal_ref(
-    sample: DensitySample, x: float, kappa: int, K: KernelSpec
-) -> BandwidthChoice:
-    """Same as the reference rule with mu, sigma estimated from the sample."""
-    mu = float(np.mean(sample.observations))
-    sigma = _sample_sd(sample.observations)
-    return mse_bandwidth_density_reference(x, sample.n, kappa, K, mu, sigma)
 
 
 def silverman_rot_density(sample: DensitySample, r: int = 2) -> BandwidthChoice:
@@ -394,8 +331,10 @@ def dpi_bandwidth_density(
     bandwidth is H * n^(-1/(kappa+3)).  Falls back to the "rot" rule, or
     Silverman's where that is undefined (flagged), when a pilot degenerates
     or the objective is monotone on the bracket; fewer than two
-    observations or a zero sample sd raise ZeroCurvatureError.
+    observations or a zero sample sd raise ZeroCurvatureError, and an
+    alpha outside (0, 1) ValueError.
     """
+    z = critical_value(alpha)
     n = sample.n
     sigma_x = _sample_sd(sample.observations)
     mu_x = float(np.mean(sample.observations))
@@ -423,10 +362,10 @@ def dpi_bandwidth_density(
         return _fallback("estimated f^(kappa+2) vanished")
 
     M = induced_kernel(K, L, kappa, 1.0)
-    polys = coverage_polys_density(M, alpha)
+    q1, q2, q3 = coverage_polys(M, z)
     eta = f_nu * M.moment_mu(kappa + 2)
     try:
-        value = _ce_optimal(polys.q1, polys.q2, polys.q3, eta, nu, sigma_x, n, diag)
+        value = _ce_optimal(q1, q2, q3, eta, nu, sigma_x, n, diag)
     except MonotoneObjectiveError as exc:
         return _fallback(str(exc))
     diag["objective_value"] = abs(_ce_objective(diag["objective_coeffs"], nu, diag["H"]))
@@ -723,8 +662,9 @@ def dpi_bandwidth_lp(
     n^(-1/(p+3)) (boundary).  Falls back to the "rot" rule, or to
     2.34 sd n^rate where that is undefined (flagged), when a pilot
     degenerates or the objective is monotone; a zero covariate sd raises
-    ZeroCurvatureError.
+    ZeroCurvatureError, and an alpha outside (0, 1) ValueError.
     """
+    z = critical_value(alpha)
     n = sample.n
     q = p + 1
     s = p + 2 if boundary_flag else p + 3  # order of the post-correction bias
@@ -758,7 +698,6 @@ def dpi_bandwidth_lp(
     except SingularDesignError as exc:
         return _fallback(f"global derivative pilot failed: {exc}")
 
-    z = float(ndtri(1.0 - alpha / 2.0))
     qhat = _edgeworth_q_hats(fit_q, eps, z)
     if qhat is None:
         return _fallback("pilot residual variance vanished")
@@ -816,15 +755,17 @@ def select(
     The estimator follows from the sample's type, and ``RULES`` names the
     rules each estimator offers: "dpi" (coverage-error optimal, which may
     fall back to a rule of thumb but keeps its tag), "mse" (plug-in MSE
-    optimal), "rot" (the MSE bandwidth rescaled to the coverage-error
+    optimal; for densities under a Normal reference with the sample's mean
+    and sd), "rot" (the MSE bandwidth rescaled to the coverage-error
     rate) and, for densities, "silverman".  Density rules use the order
     ``kappa`` and, for "dpi", the bias kernel ``L``; local polynomial rules
     use the degree ``p`` and the ``boundary`` rate.  Every rule raises
     ZeroCurvatureError for fewer than two observations or zero spread, and
-    an unknown rule raises ValueError; so does a local polynomial degree
-    whose interior bias constant vanishes (even p with a symmetric kernel)
-    or whose kernel moment matrix is singular (a higher-order kernel at p =
-    1 or 2) when ``boundary`` is not set, before any pilot runs.
+    an unknown rule raises ValueError; so do an alpha outside (0, 1) and a
+    local polynomial degree whose interior bias constant vanishes (even p
+    with a symmetric kernel) or whose kernel moment matrix is singular (a
+    higher-order kernel at p = 1 or 2) when ``boundary`` is not set, before
+    any pilot runs.
     """
     # selectors are looked up by module name at call time so that a
     # patched (e.g. traced) selector is the one that runs
@@ -838,6 +779,7 @@ def select(
         raise ValueError(
             f"unknown {estimator} bandwidth rule {rule!r}; expected one of {RULES[estimator]}"
         )
+    critical_value(alpha)  # no rule runs with an alpha outside (0, 1)
     if estimator == "density":
         if rule == "dpi":
             if L is None:
@@ -845,7 +787,8 @@ def select(
             return dpi_bandwidth_density(sample, x, K, L, kappa, alpha)
         if rule == "silverman":
             return silverman_rot_density(sample, kappa)
-        mse = mse_bandwidth_density_normal_ref(sample, x, kappa, K)
+        mu, sigma = float(np.mean(sample.observations)), _sample_sd(sample.observations)
+        mse = mse_bandwidth_density_reference(x, sample.n, kappa, K, mu, sigma)
         context, order = "density", kappa
     else:
         if not boundary:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bandwidth import RULES, select
-from .density import DEFAULT_BIAS_KERNEL, DensitySample, density_infer
+from .density import DEFAULT_BIAS_KERNEL, DensitySample, critical_value, density_infer
 from .errors import ConfigError, NpinferError, ParseError, SchemaError
 from .kernels import TruncatedSupport, kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
@@ -224,6 +224,7 @@ def _emit_inference(res, h, rule, sample, args, argv):
 def cmd_density_infer(args, argv):
     check_rho("density", args.rho)
     h = _fixed_bandwidth(args.h)
+    critical_value(args.alpha)
     sample = read_density_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel)
@@ -236,6 +237,7 @@ def cmd_density_infer(args, argv):
 def cmd_lpreg_infer(args, argv):
     check_rho("lpreg", args.rho)
     h = _fixed_bandwidth(args.h)
+    critical_value(args.alpha)
     sample = read_regression_table(args.data)
     K = kernel(args.kernel)
     L = kernel(args.bias_kernel or args.kernel)
@@ -246,6 +248,7 @@ def cmd_lpreg_infer(args, argv):
 
 
 def cmd_bw(args, argv):
+    critical_value(args.alpha)
     if args.estimator == "density":
         sample = read_density_table(args.data)
         options = {"L": kernel(args.bias_kernel), "kappa": args.kappa}
@@ -281,6 +284,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sim(args, argv):
+    if args.h_grid and args.h is not None:
+        raise SchemaError("--h and --h-grid exclude each other: give one fixed bandwidth or a grid")
     if args.h_grid and not args.curves:
         raise SchemaError("--h-grid requires --curves for the output table")
     grid = _parse_grid(args.h_grid) if args.h_grid else None

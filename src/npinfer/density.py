@@ -31,13 +31,13 @@ from .kernels import KernelSpec, derivative_part, induced_kernel
 __all__ = [
     "DensitySample",
     "ConfidenceInterval",
+    "critical_value",
     "interval_triple",
     "DensityInference",
     "density_point_estimate",
     "density_derivative_estimate",
     "density_infer",
     "gj_density_estimate",
-    "gj_equivalent_kernel",
 ]
 
 # the bias kernel L of density inference when the caller names none
@@ -108,16 +108,28 @@ class ConfidenceInterval:
         }
 
 
+def critical_value(alpha: float) -> float:
+    """z = Phi^(-1)(1 - alpha/2), the two-sided Normal critical value at level 1 - alpha.
+
+    The intervals and the coverage-error objectives of both estimators are
+    evaluated at this z; an alpha outside (0, 1), NaN included, raises
+    ValueError.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return float(ndtri(1.0 - alpha / 2.0))
+
+
 def interval_triple(
     point: float, bias: float, se_us: float, se_rbc: float, n: int, h: float, alpha: float
 ) -> tuple:
     """The US, BC and RBC intervals around a point estimate, in METHODS order.
 
-    Half-widths are z * se / sqrt(nh) with z = Phi^(-1)(1 - alpha/2).  US
+    Half-widths are z * se / sqrt(nh) with z = critical_value(alpha).  US
     is centered at the point estimate; BC and RBC at the point estimate
     minus the bias estimate, BC with the US width and RBC with se_rbc.
     """
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = critical_value(alpha)
     scale = math.sqrt(n * h)
     center_bc = point - bias
     hw_us = z * se_us / scale
@@ -221,12 +233,11 @@ def density_infer(
     both f_hat and sigma_US^2, L^(kappa)((x - X_i)/b) the bias estimate
     h^kappa f^(kappa)(x) mu_{K,kappa} (zero for b = +inf), and the induced
     kernel M_rho sigma_RBC^2.  All three intervals use the Normal quantile
-    z = Phi^(-1)(1 - alpha/2) and half-widths z * se / sqrt(nh);
+    z = critical_value(alpha) and half-widths z * se / sqrt(nh);
     zero-variance windows yield zero-width intervals and set the
     degeneracy flag instead of failing.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    critical_value(alpha)  # an invalid alpha fails before any work
     _check_bandwidth(h)
     f_kappa = density_derivative_estimate(sample, x, b, L, kappa)
     if sample.n < 2:
@@ -287,38 +298,3 @@ def gj_density_estimate(
     f2 = density_point_estimate(sample, x, h2, K2)
     return (f1 - R * f2) / (1.0 - R)
 
-
-def gj_equivalent_kernel(K1: KernelSpec, K2: KernelSpec, h1: float, h2: float) -> KernelSpec:
-    """The single kernel whose h1-average reproduces the jackknife estimate.
-
-    With rho = h1/h2 and c = rho^3 mu_{K1,2} / (mu_{K2,2} (1 - R)),
-
-        Mtilde(u) = (1 + c/rho) K1(u) - c K2(rho u),
-
-    so that (n h1)^(-1) sum_i Mtilde((X_i - x)/h1) equals the jackknife
-    combination for every sample.
-    """
-    from fractions import Fraction
-
-    from .kernels import KernelSpec as _KS
-    from .kernels import _combination
-
-    mu1 = K1.moment_mu_exact(2)
-    mu2 = K2.moment_mu_exact(2)
-    rho = Fraction(h1) / Fraction(h2)
-    R = rho**2 * mu1 / mu2
-    if abs(float(R) - 1.0) <= 1e-12:
-        raise ValueError(f"degenerate jackknife combination: R = {float(R)!r}")
-    c = rho**3 * mu1 / (mu2 * (1 - R))
-    pieces = _combination(
-        [
-            (1 + c / rho, K1, Fraction(1)),
-            (-c, K2, rho),
-        ]
-    )
-    return _KS(
-        name=f"gj-{K1.name}-{K2.name}",
-        pieces=pieces,
-        kappa=4,
-        derivative_target=0,
-    )

@@ -54,6 +54,7 @@ __all__ = [
     "custom_kernel",
     "kernel_names",
     "induced_kernel",
+    "gj_equivalent_kernel",
     "derivative_part",
     "minvar_derivative_kernel",
 ]
@@ -389,7 +390,7 @@ def custom_kernel(
 
 
 # ----------------------------------------------------------------------
-# piecewise combinations and the induced kernel
+# piecewise combinations: the induced and the jackknife kernels
 # ----------------------------------------------------------------------
 
 def _combination(terms) -> tuple:
@@ -476,6 +477,39 @@ def induced_kernel(K: KernelSpec, L: KernelSpec, kappa: int, rho: float) -> Kern
         name=f"induced-{K.name}-{L.name}-rho{float(rho):g}",
         pieces=pieces,
         kappa=K.kappa + 2,
+        derivative_target=0,
+    )
+
+
+def gj_equivalent_kernel(K1: KernelSpec, K2: KernelSpec, h1: float, h2: float) -> KernelSpec:
+    """The single kernel whose h1-average reproduces the jackknife estimate.
+
+    With rho = h1/h2, R = rho^2 mu_{K1,2} / mu_{K2,2} and c = rho^3
+    mu_{K1,2} / (mu_{K2,2} (1 - R)),
+
+        Mtilde(u) = (1 + c/rho) K1(u) - c K2(rho u),
+
+    so that (n h1)^(-1) sum_i Mtilde((X_i - x)/h1) equals the jackknife
+    combination (f1 - R f2) / (1 - R) of ``density.gj_density_estimate``
+    for every sample; R within 1e-12 of one is rejected.
+    """
+    mu1 = K1.moment_mu_exact(2)
+    mu2 = K2.moment_mu_exact(2)
+    rho = Fraction(h1) / Fraction(h2)
+    R = rho**2 * mu1 / mu2
+    if abs(float(R) - 1.0) <= 1e-12:
+        raise ValueError(f"degenerate jackknife combination: R = {float(R)!r}")
+    c = rho**3 * mu1 / (mu2 * (1 - R))
+    pieces = _combination(
+        [
+            (1 + c / rho, K1, Fraction(1)),
+            (-c, K2, rho),
+        ]
+    )
+    return KernelSpec(
+        name=f"gj-{K1.name}-{K2.name}",
+        pieces=pieces,
+        kappa=4,
         derivative_target=0,
     )
 

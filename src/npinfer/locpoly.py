@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .density import IntervalTriple, interval_triple
+from .density import IntervalTriple, critical_value, interval_triple
 from .errors import DegenerateSampleError, LeverageOneError, SingularDesignError
 from .kernels import KernelSpec
 
@@ -132,7 +132,6 @@ class LocPolyFit:
     x: float
     p: int
     h: float
-    kernel: KernelSpec
     n: int
     window: slice
     beta_hat: np.ndarray
@@ -146,7 +145,6 @@ class LocPolyFit:
     kvals: np.ndarray
     basis: np.ndarray
     g_inv: np.ndarray
-    beta_scaled: np.ndarray
 
     @property
     def m_hat(self) -> float:
@@ -223,7 +221,6 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         x=float(x),
         p=p,
         h=float(h),
-        kernel=K,
         n=n,
         window=window,
         beta_hat=beta_scaled / h ** np.arange(p + 1),
@@ -236,7 +233,6 @@ def lp_fit(sample: RegressionSample, x: float, p: int, h: float, K: KernelSpec) 
         kvals=kvals,
         basis=basis,
         g_inv=g_inv,
-        beta_scaled=beta_scaled,
     )
 
 
@@ -428,8 +424,7 @@ def lp_infer(
     """
     if q <= p:
         raise ValueError("q must exceed p")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    critical_value(alpha)  # an invalid alpha fails before any fit
     fit_p = lp_fit(sample, x, p, h, K)
     fit_q = lp_fit(sample, x, q, b, L)
     rho = h / b

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bandwidth import RULES, _lp_bias_constants, select
-from .density import DEFAULT_BIAS_KERNEL, METHODS, DensitySample, density_infer
+from .density import DEFAULT_BIAS_KERNEL, METHODS, DensitySample, critical_value, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import derivative_part, kernel
 from .locpoly import RegressionSample, VarianceMethod, lp_infer
@@ -209,12 +209,13 @@ def check_rho(estimator: str, rho: float) -> None:
 class McConfig:
     """One Monte Carlo experiment.
 
-    ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed"
-    (requires ``fixed_h``).  ``boundary`` switches the local polynomial
-    selectors to the boundary rate; ``x_law``, when set, is the (lo, hi)
-    support of the uniform regression design.  An invalid setting raises
-    ``ConfigError`` here, before any replication runs.  The worker count
-    is an argument of ``run_mc``; it never enters the report.
+    ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed", the
+    one rule that takes ``fixed_h`` (and requires it).  ``boundary``
+    switches the local polynomial selectors to the boundary rate;
+    ``x_law``, when set, is the (lo, hi) support of the uniform regression
+    design.  An invalid setting raises ``ConfigError`` here, before any
+    replication runs.  The worker count is an argument of ``run_mc``; it
+    never enters the report.
     """
 
     estimator: str  # "density" | "lpreg"
@@ -263,12 +264,16 @@ class McConfig:
             raise ConfigError(f"n must be >= 2, got {self.n!r}")
         if not self.evaluation_points:
             raise ConfigError("evaluation_points must not be empty")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _config_checked(critical_value, self.alpha)
         if self.bw_rule == "fixed" and not (
             self.fixed_h is not None and math.isfinite(self.fixed_h) and self.fixed_h > 0
         ):
             raise ConfigError("fixed bandwidth rule requires a positive, finite fixed_h")
+        if self.bw_rule != "fixed" and self.fixed_h is not None:
+            raise ConfigError(
+                f"fixed_h={self.fixed_h!r} is used only by the fixed bandwidth rule, "
+                f"not by bw_rule={self.bw_rule!r}"
+            )
         if self.estimator == "lpreg" and not 0 <= self.p < self.q:
             raise ConfigError(
                 f"local polynomial simulations require q > p >= 0, got p={self.p}, q={self.q}"

@@ -11,6 +11,9 @@ scans 200 points of its squared objective and refines the scan minimum by
 golden-section search to 1e-6 relative width.  The code is kept unchanged as the
 oracle that ``npinfer.bandwidth`` is checked against; helpers that did not
 change are imported from it.
+
+``population_mse_bandwidth_density`` is a population oracle: the MSE
+balance bandwidth of a known density, by quadrature and root finding.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from npinfer.bandwidth import (
@@ -29,11 +34,16 @@ from npinfer.bandwidth import (
     _edgeworth_q_hats,
     _flagged,
     _lp_kernel_constants,
-    coverage_polys_density,
+    coverage_polys,
     mse_bandwidth_density_reference,
     rot_bandwidth,
 )
-from npinfer.density import DensitySample, density_derivative_estimate, density_point_estimate
+from npinfer.density import (
+    DensitySample,
+    critical_value,
+    density_derivative_estimate,
+    density_point_estimate,
+)
 from npinfer.errors import MonotoneObjectiveError, SingularDesignError, ZeroCurvatureError
 from npinfer.kernels import KernelSpec, induced_kernel, kernel, minvar_derivative_kernel
 from npinfer.locpoly import RegressionSample, lp_fit
@@ -161,10 +171,10 @@ def dpi_bandwidth_density(
         return _fallback("estimated f^(kappa+2) vanished")
 
     M = induced_kernel(K, L, kappa, 1.0)
-    polys = coverage_polys_density(M, alpha)
+    q1, q2, q3 = coverage_polys(M, critical_value(alpha))
     eta = f_nu * M.moment_mu(kappa + 2)
     try:
-        value = _ce_optimal(polys.q1, polys.q2, polys.q3, eta, nu, sigma_x, n, diag)
+        value = _ce_optimal(q1, q2, q3, eta, nu, sigma_x, n, diag)
     except MonotoneObjectiveError as exc:
         return _fallback(str(exc))
     terms = zip(diag["objective_coeffs"], diag["objective_exponents"])
@@ -404,3 +414,35 @@ def select(
     if rule == "mse":
         return mse
     return rot_bandwidth(mse.value, context, order, sample.n)
+
+
+def population_mse_bandwidth_density(density, x: float, n: int, K: KernelSpec) -> float:
+    """Population bandwidth at which squared bias equals variance exactly.
+
+    Solves n h bias(h)^2 = sigma^2(h) with the exact fixed-n population
+    quantities bias(h) = int K(u) f(x - uh) du - f(x) and sigma^2(h) =
+    int K(u)^2 f(x - uh) du - h (int K(u) f(x - uh) du)^2 computed by
+    quadrature against the true density.  At this bandwidth the
+    undersmoothed t-statistic has bias/sd ratio one, so the nominal-95%
+    interval covers with probability near 0.83; the closed-form
+    normal-reference rule is the large-n limit of this balance point.
+    """
+    f_x = float(density(x))
+
+    def moments(h):
+        ek = ek2 = 0.0
+        for lo, hi, _ in K.pieces:
+            ek += quad(lambda u: K(u) * density(x - u * h), float(lo), float(hi))[0]
+            ek2 += quad(lambda u: K(u) ** 2 * density(x - u * h), float(lo), float(hi))[0]
+        return ek - f_x, ek2 - h * ek**2
+
+    def gap(h):
+        bias, sig2 = moments(h)
+        return n * h * bias**2 - sig2
+
+    lo, hi = 1e-3, 1e-3
+    while gap(hi) < 0:
+        hi *= 1.6
+        if hi > 1e3:
+            raise ZeroCurvatureError("population balance bandwidth not found")
+    return float(brentq(gap, lo if gap(lo) < 0 else hi / 1e3, hi, xtol=1e-10))

@@ -93,7 +93,6 @@ def whole_sample_lp_fit(
         x=float(x),
         p=p,
         h=float(h),
-        kernel=K,
         n=n,
         window=slice(0, n),
         beta_hat=beta,
@@ -106,7 +105,6 @@ def whole_sample_lp_fit(
         kvals=np.where(inside, kvals, 0.0),
         basis=np.where(inside[:, None], basis, 0.0),
         g_inv=g_inv,
-        beta_scaled=beta_scaled,
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from bandwidth_reference import population_mse_bandwidth_density
 from npinfer import (
     DensitySample,
     density_infer,
@@ -20,10 +21,8 @@ from npinfer import (
     induced_kernel,
     kernel,
 )
-from npinfer.bandwidth import (
-    coverage_polys_density,
-    population_mse_bandwidth_density,
-)
+from npinfer.bandwidth import coverage_polys
+from npinfer.density import critical_value
 from npinfer.locpoly import (
     RegressionSample,
     VarianceMethod,
@@ -255,9 +254,9 @@ def test_criterion_8_exactness_battery(capsys):
             checks.append(abs(spec.moment_mu(k) - oracle) < 1e-10)
 
     # coverage-error polynomial values
-    cp = coverage_polys_density(EPA, 0.05)
-    checks.append(abs(cp.q2 - (-3.2666)) < 1e-3)
-    checks.append(abs(cp.q3 - 5.378) < 1e-3)
+    _q1, q2, q3 = coverage_polys(EPA, critical_value(0.05))
+    checks.append(abs(q2 - (-3.2666)) < 1e-3)
+    checks.append(abs(q3 - 5.378) < 1e-3)
 
     # affine / translation / permutation equivariance
     x = rng.uniform(-1, 1, 80)

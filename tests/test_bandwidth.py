@@ -17,22 +17,20 @@ from npinfer import bandwidth, simulate
 from npinfer.bandwidth import (
     RULES,
     BandwidthChoice,
-    coverage_polys_at,
-    coverage_polys_density,
+    coverage_polys,
     dpi_bandwidth_density,
     dpi_bandwidth_lp,
     global_poly_derivative,
     minimize_ce_objective,
-    mse_bandwidth_density_normal_ref,
     mse_bandwidth_density_reference,
     mse_bandwidth_lp,
     normal_reference_density_derivative,
-    population_mse_bandwidth_density,
     rot_bandwidth,
     select,
     silverman_rot_density,
     _edgeworth_q_hats,
 )
+from npinfer.density import critical_value
 from npinfer.errors import MonotoneObjectiveError, SingularDesignError, ZeroCurvatureError
 from npinfer.locpoly import RegressionSample, lp_fit
 from npinfer.simulate import (
@@ -50,31 +48,31 @@ MSE2 = kernel("mseopt-deriv2")
 
 class TestCoveragePolys:
     def test_epanechnikov_q2(self):
-        cp = coverage_polys_density(EPA, 0.05)
-        assert cp.q2 == pytest.approx(-(1 / 0.6) * 1.95996, abs=1e-4)
+        _q1, q2, _q3 = coverage_polys(EPA, critical_value(0.05))
+        assert q2 == pytest.approx(-(1 / 0.6) * 1.95996, abs=1e-4)
 
     def test_epanechnikov_q3(self):
-        cp = coverage_polys_density(EPA, 0.05)
-        assert cp.q3 == pytest.approx(5.378, abs=1e-3)
+        _q1, _q2, q3 = coverage_polys(EPA, critical_value(0.05))
+        assert q3 == pytest.approx(5.378, abs=1e-3)
 
     def test_alpha_near_one_vanishes(self):
-        cp = coverage_polys_density(EPA, 1 - 1e-12)
-        assert abs(cp.q1) < 1e-9
-        assert abs(cp.q2) < 1e-9
-        assert abs(cp.q3) < 1e-9
+        q1, q2, q3 = coverage_polys(EPA, critical_value(1 - 1e-12))
+        assert abs(q1) < 1e-9
+        assert abs(q2) < 1e-9
+        assert abs(q3) < 1e-9
 
     @pytest.mark.parametrize("name", ["uniform", "epanechnikov", "mseopt-order4"])
     @pytest.mark.parametrize("z", [0.5, 1.0, 1.959964, 2.575])
     def test_exactly_odd_in_z(self, name, z):
         spec = kernel(name)
-        plus = coverage_polys_at(spec, z)
-        minus = coverage_polys_at(spec, -z)
+        plus = coverage_polys(spec, z)
+        minus = coverage_polys(spec, -z)
         for a, b in zip(plus, minus):
             assert a == pytest.approx(-b, abs=1e-14)
 
     def test_q2_negative_for_valid_kernels(self):
         for name in ["uniform", "triangular", "epanechnikov"]:
-            assert coverage_polys_density(kernel(name), 0.05).q2 < 0
+            assert coverage_polys(kernel(name), critical_value(0.05))[1] < 0
 
 
 class TestNormalReference:
@@ -102,12 +100,12 @@ class TestNormalReference:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(400)
-        h1 = mse_bandwidth_density_normal_ref(DensitySample(x), 0.3, 2, EPA).value
-        h2 = mse_bandwidth_density_normal_ref(DensitySample(5 * x), 1.5, 2, EPA).value
+        h1 = select("mse", DensitySample(x), 0.3, EPA, kappa=2).value
+        h2 = select("mse", DensitySample(5 * x), 1.5, EPA, kappa=2).value
         assert h2 == pytest.approx(5 * h1, rel=1e-12)
 
     def test_population_balance_bandwidth(self):
-        h = population_mse_bandwidth_density(norm.pdf, 0.0, 2000, EPA)
+        h = reference.population_mse_bandwidth_density(norm.pdf, 0.0, 2000, EPA)
         # defining property: n h bias(h)^2 equals sigma^2(h)
         ek = quad(lambda u: EPA(u) * norm.pdf(u * h), -1, 1)[0]
         ek2 = quad(lambda u: EPA(u) ** 2 * norm.pdf(u * h), -1, 1)[0]
@@ -115,7 +113,7 @@ class TestNormalReference:
         sig2 = ek2 - h * ek**2
         assert 2000 * h * bias**2 == pytest.approx(sig2, rel=1e-8)
         # and its large-n limit is the closed-form normal-reference value
-        h_big = population_mse_bandwidth_density(norm.pdf, 0.0, 10**8, EPA)
+        h_big = reference.population_mse_bandwidth_density(norm.pdf, 0.0, 10**8, EPA)
         ref = mse_bandwidth_density_reference(0.0, 10**8, 2, EPA).value
         assert h_big == pytest.approx(ref, rel=0.02)
 
@@ -491,10 +489,19 @@ class TestSelect:
             "lpreg": ("dpi", "rot", "mse"),
         }
 
+    @pytest.mark.parametrize(
+        "estimator,rule", [(e, rule) for e, rules in RULES.items() for rule in rules]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_every_rule_rejects_alpha_outside_unit_interval(self, estimator, rule, alpha):
+        s = _density_sample() if estimator == "density" else _regression_sample()
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            select(rule, s, 0.4, EPA, L=MSE2, alpha=alpha)
+
     @pytest.mark.parametrize("kappa", [2, 4])
     def test_density_rules_match_their_selectors(self, kappa):
         s = _density_sample()
-        mse = mse_bandwidth_density_normal_ref(s, 0.4, kappa, EPA)
+        mse = reference.mse_bandwidth_density_normal_ref(s, 0.4, kappa, EPA)
         expected = {
             "mse": mse,
             "rot": rot_bandwidth(mse.value, "density", kappa, s.n),

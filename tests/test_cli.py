@@ -488,6 +488,28 @@ class TestRuleParity:
 
     @pytest.mark.parametrize(
         "command",
+        [["density", "infer"], ["lpreg", "infer"], ["bw", "--estimator", "density"],
+         ["bw", "--estimator", "lpreg"]],
+        ids=["density-infer", "lpreg-infer", "density-bw", "lpreg-bw"],
+    )
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.2", "nan"])
+    def test_alpha_checked_before_any_work(self, command, alpha, monkeypatch, capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(cli, "_read_rows", must_not_run)
+        assert main(command + ["--data", "t.csv", "--x", "0", "--alpha", alpha]) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ValueError"
+        assert f"alpha must lie in (0, 1), got {float(alpha)!r}" in error["message"]
+
+    def test_lpreg_dpi_rejects_alpha_above_one(self, regression_csv, capsys):
+        argv = ["bw", "--estimator", "lpreg", "--method", "dpi", "--alpha", "1.5"]
+        assert main(argv + ["--data", regression_csv, "--x", "0"]) == 1
+        assert "alpha must lie in (0, 1)" in _last_error(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "command",
         [["lpreg", "infer", "--h", "auto", "--q", "3"], ["bw", "--estimator", "lpreg"]],
         ids=["lpreg-infer", "lpreg-bw"],
     )
@@ -570,10 +592,12 @@ class TestSimCommand:
             (["sim", "lpreg", "--x-law", "1"], "ConfigError", "x_law must be a pair"),
             (["sim", "lpreg", "--x-law", "0,0"], "ConfigError", "x_law must be a pair"),
             (["sim", "lpreg", "--p", "2", "--q", "3"], "ConfigError", "degree p = 2"),
+            (["sim", "lpreg", "--h", "0.3", "--h-grid", "0.2:0.4:2", "--curves", "x.csv"],
+             "SchemaError", "--h and --h-grid"),
         ],
         ids=["grid-without-curves", "inf-hi", "nan-lo", "nan-hi",
              "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
-             "even-degree"],
+             "even-degree", "h-with-grid"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):

@@ -397,6 +397,12 @@ class TestConfigErrors:
     def test_even_degree_stays_open_for_fixed_and_boundary(self, overrides):
         assert _lpreg_config(p=2, q=3, **overrides).p == 2
 
+    @pytest.mark.parametrize("bw_rule", ["dpi", "rot", "mse"])
+    def test_fixed_h_without_fixed_rule(self, bw_rule):
+        # the rule would ignore fixed_h while the report echoed it
+        with pytest.raises(ConfigError, match="fixed_h=0.3 is used only by the fixed"):
+            _lpreg_config(bw_rule=bw_rule, fixed_h=0.3)
+
     def test_empty_evaluation_points(self):
         with pytest.raises(ConfigError, match="evaluation_points"):
             _lpreg_config(evaluation_points=())
