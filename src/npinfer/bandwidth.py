@@ -171,11 +171,21 @@ def _sample_sd(values: np.ndarray) -> float:
     return sd
 
 
+def _sd(sample: DensitySample) -> float:
+    """``_sample_sd`` of the observations, memoized on the sample."""
+    return sample._memoized("sd", lambda: _sample_sd(sample.observations))
+
+
+def _mean(sample: DensitySample) -> float:
+    """The mean of the observations, memoized on the sample."""
+    return sample._memoized("mean", lambda: float(np.mean(sample.observations)))
+
+
 def silverman_rot_density(sample: DensitySample, r: int = 2) -> BandwidthChoice:
     """Silverman-style rule sigma_hat * 2.34 * n^(-1/(2r+1))."""
     if r < 2 or r % 2 != 0:
         raise ValueError("r must be an even integer >= 2")
-    sigma = _sample_sd(sample.observations)
+    sigma = _sd(sample)
     value = sigma * 2.34 * sample.n ** (-1.0 / (2 * r + 1))
     return BandwidthChoice(value=value, rule="silverman-rot", diagnostics={"sigma": sigma})
 
@@ -230,6 +240,25 @@ def _positive_roots(A: float, B: float, C: float) -> list:
     return [t for t in (q / A, C / q) if t > 0] if q else []
 
 
+_SCAN_STEPS = np.arange(200.0)
+
+
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, 200) for 0 < lo < hi, bit for bit.
+
+    The same operations as numpy's: exponents k * step + log10(lo) with
+    step = (log10(hi) - log10(lo)) / 199, the last exponent log10(hi),
+    powers of 10, then both endpoints set exactly; only the argument
+    handling is left out.
+    """
+    log_lo, log_hi = float(np.log10(lo)), float(np.log10(hi))
+    y = _SCAN_STEPS * ((log_hi - log_lo) / 199) + log_lo
+    y[-1] = log_hi
+    grid = 10.0**y
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
 def minimize_ce_objective(coeffs, s, bracket) -> tuple[float, list]:
     """Minimize |f(H)| = |a H^-1 + b H^(1+2s) + c H^s| over H in the bracket.
 
@@ -246,7 +275,7 @@ def minimize_ce_objective(coeffs, s, bracket) -> tuple[float, list]:
     lo, hi = (float(v) for v in bracket)
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, 200)
+    grid = _scan_grid(lo, hi)
     vals = np.abs(_ce_objective(coeffs, s, grid))
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective is not finite on the bracket")
@@ -336,8 +365,8 @@ def dpi_bandwidth_density(
     """
     z = critical_value(alpha)
     n = sample.n
-    sigma_x = _sample_sd(sample.observations)
-    mu_x = float(np.mean(sample.observations))
+    sigma_x = _sd(sample)
+    mu_x = _mean(sample)
     diag: dict = {"pilot": "minvar-derivative-kernel, normal-reference MSE bandwidth"}
 
     def _fallback(reason: str) -> BandwidthChoice:
@@ -787,7 +816,7 @@ def select(
             return dpi_bandwidth_density(sample, x, K, L, kappa, alpha)
         if rule == "silverman":
             return silverman_rot_density(sample, kappa)
-        mu, sigma = float(np.mean(sample.observations)), _sample_sd(sample.observations)
+        mu, sigma = _mean(sample), _sd(sample)
         mse = mse_bandwidth_density_reference(x, sample.n, kappa, K, mu, sigma)
         context, order = "density", kappa
     else:

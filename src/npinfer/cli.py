@@ -284,6 +284,11 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sim(args, argv):
+    fixed = "--h" if args.h is not None else "--h-grid" if args.h_grid else None
+    if args.bw is not None and fixed:
+        raise SchemaError(
+            f"--bw and {fixed} exclude each other: select a bandwidth or fix it, not both"
+        )
     if args.h_grid and args.h is not None:
         raise SchemaError("--h and --h-grid exclude each other: give one fixed bandwidth or a grid")
     if args.h_grid and not args.curves:
@@ -308,7 +313,7 @@ def cmd_sim(args, argv):
         bias_kernel_name=args.bias_kernel,
         vce=args.vce,
         nn_neighbors=args.nn_neighbors,
-        bw_rule="fixed" if args.h is not None else args.bw,
+        bw_rule="fixed" if args.h is not None else args.bw or "dpi",
         fixed_h=args.h,
         boundary=args.boundary,
         x_law=x_law,
@@ -428,14 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     dens = command(
         "density", "kernel density estimation", cmd_density_infer,
         estimation + ("--h", "--bw", "--rho", "--kappa", "--bias-kernel", "--out"),
-        bw=dict(choices=RULES["density"]), bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
+        bw=dict(choices=RULES["density"], help="rule for --h auto; dpi optimizes h for rho = 1"),
+        bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
     )
     dens.add_argument("subcommand", choices=("infer",))
     lp = command(
         "lpreg", "local polynomial regression", cmd_lpreg_infer,
         estimation + ("--h", "--bw", "--p", "--q", "--rho", "--vce", "--nn-neighbors",
                       "--bias-kernel", "--boundary", "--out"),
-        bw=dict(choices=RULES["lpreg"]),
+        bw=dict(
+            choices=RULES["lpreg"],
+            help="rule for --h auto; dpi optimizes h for q = p + 1, rho = 1 and L = K "
+            "whatever --q, --rho and --bias-kernel say",
+        ),
     )
     lp.add_argument("subcommand", choices=("infer",))
     bw = command(
@@ -450,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--bw", "--h", "--alpha", "--p", "--q", "--rho", "--kappa", "--kernel",
          "--bias-kernel", "--vce", "--nn-neighbors", "--boundary", "--out"),
         h=dict(type=float, default=None, help="fixed bandwidth override"),
+        bw=dict(default=None, help="bandwidth rule (default dpi); excludes --h and --h-grid"),
     )
     sim.add_argument("sim_command", choices=tuple(RULES))
     sim.add_argument("--model", type=int, required=True)

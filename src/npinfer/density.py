@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateSampleError
-from .kernels import KernelSpec, derivative_part, induced_kernel
+from .kernels import KernelSpec, MemoMixin, derivative_part, induced_kernel
 
 __all__ = [
     "DensitySample",
@@ -48,12 +48,14 @@ METHODS = ("US", "BC", "RBC")
 
 
 @dataclass(frozen=True, eq=False)
-class DensitySample:
+class DensitySample(MemoMixin):
     """An i.i.d. univariate sample; observations and their range must be finite.
 
     Observations are stored sorted, which makes every downstream sum
     independent of the input ordering (permutation invariance holds
-    exactly, not just to rounding).
+    exactly, not just to rounding).  The sample memoizes its mean and sd
+    (keys ``"mean"`` and ``"sd"``), the x-free inputs of the density
+    bandwidth selectors, so every evaluation point reuses them.
     """
 
     observations: np.ndarray
@@ -212,8 +214,9 @@ def density_derivative_estimate(
 
 def _fixedn_variance(vals: np.ndarray, h: float) -> float:
     """h^(-1) (mean N^2 - (mean N)^2) from the kernel values N((x - X_i)/h)."""
-    mean_sq = float(np.mean(vals**2))
-    sq_mean = float(np.mean(vals)) ** 2
+    # np.add.reduce(v) / v.size is np.mean's arithmetic without its argument handling
+    mean_sq = float(np.add.reduce(vals**2) / vals.size)
+    sq_mean = float(np.add.reduce(vals) / vals.size) ** 2
     return max(0.0, (mean_sq - sq_mean) / h)
 
 

@@ -24,11 +24,17 @@ data, so each is computed once:
   ``induced_kernel`` keep the specs they built in an LRU cache of
   ``_CACHE_SIZE`` entries;
 - per spec: the exact integrals behind ``moment_mu_exact``,
-  ``moment_mu``, ``moment_theta`` and ``power_weighted_integral``, and
-  each ``derivative(order)``, are kept on the instance that computed them.
+  ``moment_mu``, ``moment_theta`` and ``power_weighted_integral``, the
+  floats that the last three return, and each ``derivative(order)``, are
+  kept on the instance that computed them.
 
-The cached value is the exact result, rounded to float the same way on
-every call, so results are bit-for-bit those of a fresh computation.
+A spec hashes its name, order, derivative target and piece count only,
+so a cache keyed by a spec looks it up in well under a microsecond
+instead of hashing every rational coefficient; equality still compares
+the pieces, so equal hashes of unequal specs stay apart.  The hash is
+computed afresh on every call, so a pickled spec carries no stale one.
+The cached float is the exact result rounded once, so results are
+bit-for-bit those of a fresh computation.
 ``induced_kernel``'s cache must stay bounded: its key holds rho = h/b,
 a ratio of two bandwidths.  The MC engine and the CLI set b = h/rho, so
 the quotient lands within an ulp of rho (0.3 or 0.29999999999999993 for
@@ -61,6 +67,25 @@ __all__ = [
 
 # entries in each process-wide LRU cache of derived kernels
 _CACHE_SIZE = 64
+
+
+class MemoMixin:
+    """A per-instance dict of computed values, for frozen dataclasses.
+
+    ``_memoized(key, compute)`` returns the stored value for ``key``, or
+    stores and returns ``compute()``.  A computation that raises stores
+    nothing, so it raises again on the next call.
+    """
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _memoized(self, key, compute):
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +169,7 @@ class TruncatedSupport:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(MemoMixin):
     """A kernel given by exact polynomial pieces on a compact support.
 
     Parameters
@@ -160,6 +185,11 @@ class KernelSpec:
     derivative_target : int
         0 for a level kernel, d for a kernel that estimates the d-th
         derivative of the density directly.
+
+    The memo holds exact integrals under ``("int", m, power, trunc)``, the
+    floats of ``moment_mu``, ``moment_theta`` and ``power_weighted_integral``
+    under ``("mu", k, trunc)``, ``("theta", k, trunc)`` and ``("pwi", m,
+    power, trunc)``, and derivatives under ``("d", order)``.
     """
 
     name: str
@@ -182,17 +212,9 @@ class KernelSpec:
             for lo, hi, coeffs in self.pieces
         )
 
-    @cached_property
-    def _memo(self) -> dict:
-        """Exact integrals and derivatives of this kernel, keyed by
-        ``("int", m, power, trunc)`` and ``("d", order)``."""
-        return {}
-
-    def _memoized(self, key, compute):
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+    def __hash__(self) -> int:
+        # consistent with the field-wise __eq__, without hashing every Fraction
+        return hash((self.name, self.kappa, self.derivative_target, len(self.pieces)))
 
     # -- evaluation ----------------------------------------------------
 
@@ -267,13 +289,13 @@ class KernelSpec:
 
     def moment_mu(self, k: int, trunc: TruncatedSupport | None = None) -> float:
         """mu_k = ((-1)^k / k!) * integral of u^k K(u) over the (truncated) support."""
-        return float(self.moment_mu_exact(k, trunc))
+        return self._memoized(("mu", k, trunc), lambda: float(self.moment_mu_exact(k, trunc)))
 
     def moment_theta(self, k: int, trunc: TruncatedSupport | None = None) -> float:
         """theta_k = integral of K(u)^k over the (truncated) support."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        return float(self._integral(0, k, trunc))
+        return self._memoized(("theta", k, trunc), lambda: float(self._integral(0, k, trunc)))
 
     def power_weighted_integral(
         self, m: int, power: int, trunc: TruncatedSupport | None = None
@@ -281,7 +303,9 @@ class KernelSpec:
         """Exact integral of u^m K(u)^power over the (truncated) support."""
         if m < 0 or power < 1:
             raise ValueError("m must be >= 0 and power >= 1")
-        return float(self._integral(m, power, trunc))
+        return self._memoized(
+            ("pwi", m, power, trunc), lambda: float(self._integral(m, power, trunc))
+        )
 
 
 def _nth_derivative(coeffs: Sequence[Fraction], order: int) -> tuple:

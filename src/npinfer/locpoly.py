@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
 from .density import IntervalTriple, critical_value, interval_triple
 from .errors import DegenerateSampleError, LeverageOneError, SingularDesignError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, MemoMixin
 
 __all__ = [
     "RegressionSample",
@@ -43,7 +42,7 @@ RCOND_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class RegressionSample:
+class RegressionSample(MemoMixin):
     """Paired (X, Y) observations, stored in (x, y)-lexicographic order.
 
     The canonical ordering makes every downstream computation, including
@@ -52,9 +51,11 @@ class RegressionSample:
 
     The sample memoizes the x-free pilot quantities of the local polynomial
     bandwidth selectors, so every evaluation point reuses them: the global
-    polynomial fits by degree, the covariates as a ``DensitySample`` with
-    their Silverman bandwidth, their sd and max(1, max|Y|).  A computation
-    that raises stores nothing, so it raises again on the next call.
+    polynomial fits by degree (key ``("gpoly", k)``), the covariates as a
+    ``DensitySample`` (``"xs"``) with their Silverman bandwidth
+    (``"silverman"``), their sd (``"sd"``) and max(1, max|Y|)
+    (``"y_scale"``).  A computation that raises stores nothing, so it
+    raises again on the next call.
     """
 
     x_values: np.ndarray
@@ -79,18 +80,6 @@ class RegressionSample:
     @property
     def n(self) -> int:
         return self.x_values.size
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Pilot quantities keyed by ``("gpoly", k)``, ``"xs"``,
-        ``"silverman"``, ``"sd"`` and ``"y_scale"``."""
-        return {}
-
-    def _memoized(self, key, compute):
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,9 @@ golden-section search to 1e-6 relative width.  The code is kept unchanged as the
 oracle that ``npinfer.bandwidth`` is checked against; helpers that did not
 change are imported from it.
 
+``minimize_ce_objective_on_geomspace`` is the closed-form minimizer as it
+was before its scan grid stopped calling ``np.geomspace``.
+
 ``population_mse_bandwidth_density`` is a population oracle: the MSE
 balance bandwidth of a known density, by quadrature and root finding.
 """
@@ -29,11 +32,13 @@ from npinfer.bandwidth import (
     RULES,
     BandwidthChoice,
     _boundary_trunc,
+    _ce_objective,
     _ce_optimal,
     _derivative_pilot_bandwidth,
     _edgeworth_q_hats,
     _flagged,
     _lp_kernel_constants,
+    _positive_roots,
     coverage_polys,
     mse_bandwidth_density_reference,
     rot_bandwidth,
@@ -95,6 +100,28 @@ def minimize_ce_objective(coeffs, exponents, bracket) -> float:
     if objective(grid[idx]) < objective(best):
         best = grid[idx]
     return float(best)
+
+
+def minimize_ce_objective_on_geomspace(coeffs, s, bracket) -> tuple[float, list]:
+    """``bandwidth.minimize_ce_objective`` with its scan on ``np.geomspace(lo, hi, 200)``."""
+    a, b, c = coeffs = tuple(float(v) for v in coeffs)
+    lo, hi = (float(v) for v in bracket)
+    if not (0 < lo < hi):
+        raise ValueError("bracket must satisfy 0 < lo < hi")
+    grid = np.geomspace(lo, hi, 200)
+    vals = np.abs(_ce_objective(coeffs, s, grid))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("objective is not finite on the bracket")
+    idx = int(np.argmin(vals))
+    if idx == 0 or idx == len(grid) - 1:
+        raise MonotoneObjectiveError(
+            "coverage-error objective has its scan minimum at a bracket edge"
+        )
+    roots = sorted(t ** (1.0 / (1 + s)) for t in _positive_roots(b, c, a))
+    stationary = [t ** (1.0 / (1 + s)) for t in _positive_roots((1 + 2 * s) * b, s * c, -a)]
+    basin = sorted(H for H in roots + stationary if grid[idx - 1] <= H <= grid[idx + 1])
+    best = min(basin, key=lambda H: abs(_ce_objective(coeffs, s, H)), default=grid[idx])
+    return float(best), [H for H in roots if lo <= H <= hi]
 
 
 def mse_bandwidth_density_normal_ref(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -29,6 +29,7 @@ from npinfer.bandwidth import (
     select,
     silverman_rot_density,
     _edgeworth_q_hats,
+    _scan_grid,
 )
 from npinfer.density import critical_value
 from npinfer.errors import MonotoneObjectiveError, SingularDesignError, ZeroCurvatureError
@@ -243,6 +244,37 @@ class TestMinimizer:
             return abs(a / v + b * v ** (1 + 2 * s) + c * v**s)
 
         assert H == pytest.approx(old, rel=1e-6) or f(H) <= f(old) * (1 + 1e-12)
+
+    @staticmethod
+    def _brackets(log10_range):
+        """Brackets log-uniform in 10^-r ... 10^r, and the selectors' (0.05, 20) * sd."""
+        ends = st.tuples(*[st.floats(-log10_range, log10_range)] * 2).map(
+            lambda e: (10.0 ** min(e), 10.0 ** max(e))
+        )
+        selector = st.floats(-6.0, 6.0).map(lambda e: (0.05 * 10.0**e, 20.0 * 10.0**e))
+        return st.one_of(ends, selector).filter(lambda b: b[0] < b[1])
+
+    @settings(max_examples=1000)
+    @given(bracket=_brackets(250.0))
+    @example(bracket=(1.0, math.nextafter(1.0, 2.0)))
+    @example(bracket=(1e300, math.nextafter(1e300, math.inf)))  # equal logs: a zero step
+    @example(bracket=(5e-324, 1.7e308))
+    def test_scan_grid_is_geomspace(self, bracket):
+        lo, hi = bracket
+        assert _scan_grid(lo, hi).tobytes() == np.geomspace(lo, hi, 200).tobytes()
+
+    @settings(max_examples=300)
+    @given(a=_coeff, b=_coeff, c=_coeff, s=st.integers(1, 6), bracket=_brackets(4.0))
+    def test_same_as_on_geomspace(self, a, b, c, s, bracket):
+        def outcome(solve):
+            try:
+                return solve()
+            except MonotoneObjectiveError as exc:
+                return str(exc)
+
+        assert outcome(lambda: minimize_ce_objective((a, b, c), s, bracket)) == outcome(
+            lambda: reference.minimize_ce_objective_on_geomspace((a, b, c), s, bracket)
+        )
 
 
 class TestDensityDpi:
@@ -819,6 +851,32 @@ class TestPerSampleMemo:
             fresh = call(RegressionSample(xv, y))
             assert call(warm) == fresh
             assert call(warm) == fresh  # an error raises again, a value repeats
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_density_sample_selects_as_a_fresh_one(self, data):
+        v = data.draw(_spread_cases(1))
+        warm = DensitySample(v)
+        for _ in range(data.draw(st.integers(2, 5))):
+            rule = data.draw(st.sampled_from(RULES["density"]))
+            x = data.draw(_evaluation_point(v))
+
+            def call(sample):
+                return _outcome(lambda: select(rule, sample, x, EPA, L=MSE2))
+
+            fresh = call(DensitySample(v))
+            assert call(warm) == fresh
+            assert call(warm) == fresh  # an error raises again, a value repeats
+        assert set(warm._memo) <= {"mean", "sd"}
+
+    @pytest.mark.parametrize("values", [[2.0], [0.1] * 3])
+    def test_density_sd_errors_are_not_memoized(self, values):
+        s = DensitySample(values)
+        for rule in ("dpi", "mse", "silverman"):
+            for _ in range(2):
+                with pytest.raises(ZeroCurvatureError, match="standard deviation"):
+                    select(rule, s, 0.0, EPA, L=MSE2)
+        assert "sd" not in s._memo
 
 
 _LP_BASE = gen_regression_sample(REGRESSION_MODELS[5], 500, replication_rng(1, 0))

@@ -594,10 +594,15 @@ class TestSimCommand:
             (["sim", "lpreg", "--p", "2", "--q", "3"], "ConfigError", "degree p = 2"),
             (["sim", "lpreg", "--h", "0.3", "--h-grid", "0.2:0.4:2", "--curves", "x.csv"],
              "SchemaError", "--h and --h-grid"),
+            (["sim", "lpreg", "--h", "0.3", "--bw", "mse"], "SchemaError", "--bw and --h "),
+            (["sim", "density", "--h", "0.3", "--bw", "dpi"], "SchemaError", "--bw and --h "),
+            (["sim", "lpreg", "--h-grid", "0.2:0.4:2", "--bw", "mse", "--curves", "x.csv"],
+             "SchemaError", "--bw and --h-grid"),
         ],
         ids=["grid-without-curves", "inf-hi", "nan-lo", "nan-hi",
              "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
-             "even-degree", "h-with-grid"],
+             "even-degree", "h-with-grid", "bw-with-h", "bw-named-default-with-h",
+             "bw-with-grid"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):
@@ -611,6 +616,15 @@ class TestSimCommand:
         payload = _last_error(capsys)
         assert payload["error"] == error
         assert fragment in payload["message"]
+
+    def test_sim_without_bw_runs_dpi(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(
+            ["sim", "lpreg", "--model", "5", "--n", "60", "--reps", "2", "--points", "0",
+             "--workers", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["bw_rule"] == "dpi"
 
     def test_sim_density_runs(self, tmp_path):
         out = tmp_path / "d.json"

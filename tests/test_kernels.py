@@ -411,6 +411,43 @@ class TestCaching:
             with pytest.raises(ValueError):
                 call()
 
+    def test_equal_custom_kernels_share_a_cache_entry(self):
+        coeffs = [Fraction(3, 4), 0, Fraction(-3, 4)]
+        a, b = custom_kernel(coeffs, 2), custom_kernel(coeffs, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        L = kernel("mseopt-deriv2")
+        induced_kernel.cache_clear()
+        first = induced_kernel(a, L, 2, 1.0)
+        assert induced_kernel(b, L, 2, 1.0) is first
+        assert induced_kernel.cache_info().hits == 1
+
+    def test_equal_hashes_of_unequal_specs_stay_apart(self):
+        # the hash skips the coefficients, so equality must tell these apart
+        a = custom_kernel([Fraction(3, 4), 0, Fraction(-3, 4)], 2)
+        b = custom_kernel([Fraction(1, 2)], 2)
+        assert hash(a) == hash(b) and a != b
+        L = kernel("mseopt-deriv2")
+        assert induced_kernel(a, L, 2, 1.0).pieces != induced_kernel(b, L, 2, 1.0).pieces
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    @pytest.mark.parametrize(
+        "trunc", [None, TruncatedSupport(-1.0, 1.0), TruncatedSupport(0.0, 1.0), TruncatedSupport(-1.0, 0.3)]
+    )
+    def test_memoized_floats_are_floats_of_the_exact_values(self, name, trunc):
+        spec = kernel(name)
+        # a spec rebuilt from the same fields computes the exact values afresh
+        exact = KernelSpec(spec.name, spec.pieces, spec.kappa, spec.derivative_target)
+        for k in range(9):
+            for _ in range(2):  # computed, then read from the memo
+                assert spec.moment_mu(k, trunc).hex() == float(exact.moment_mu_exact(k, trunc)).hex()
+                for power in range(1, 5):
+                    expected = float(exact._integral(k, power, trunc)).hex()
+                    assert spec.power_weighted_integral(k, power, trunc).hex() == expected
+                if k >= 1:
+                    expected = float(exact._integral(0, k, trunc)).hex()
+                    assert spec.moment_theta(k, trunc).hex() == expected
+            assert ("mu", k, trunc) in spec._memo
+
     def test_induced_cache_stays_bounded(self):
         # b = h / 0.3 makes h / b one of 0.3 and 0.29999999999999993, and
         # DPI adds rho = 1: a study at rho = 0.3 asks for a few keys only
