@@ -3,7 +3,10 @@ runs with persisted JSON/CSV artifacts and a reproducibility manifest.
 
 Commands: density infer, lpreg infer, bw, kernels show, and sim density|lpreg,
 whose --h-grid lo:hi:count sweeps a bandwidth grid on one set of replications.
-Only sim draws random numbers, so only sim takes --seed.
+Only sim draws random numbers, so only sim takes --seed.  The infer commands
+build an InferenceConfig, and sim an McConfig, from their options, so every
+bad setting is a ConfigError before the data are read or a replication runs;
+bw checks its settings in select, after the read.
 
 Exit codes: 0 success, 2 usage error, 1 estimation error.  All errors are
 printed as one-line JSON objects on standard error.
@@ -24,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .bandwidth import RULES, select
-from .density import DEFAULT_BIAS_KERNEL, DensitySample, critical_value, density_infer
+from .density import DEFAULT_BIAS_KERNEL, DensitySample, critical_value
 from .errors import ConfigError, NpinferError, ParseError, SchemaError
 from .kernels import TruncatedSupport, kernel, kernel_names
-from .locpoly import RegressionSample, VarianceMethod, lp_infer
-from .simulate import McConfig, bandwidth_grid_sweep, check_rho, curve_rows, run_mc
+from .locpoly import RegressionSample, VarianceMethod
+from .simulate import InferenceConfig, McConfig, bandwidth_grid_sweep, curve_rows, run_mc
 
 __all__ = ["main", "read_density_table", "read_regression_table"]
 
@@ -206,45 +209,28 @@ def _fixed_bandwidth(text):
     return h
 
 
-def _infer_bandwidth(h, args, sample, K, **options):
-    """(h, rule) of an infer command: the fixed h, or what the --bw rule selects."""
-    if h is not None:
-        return h, "fixed"
-    return select(args.bw, sample, args.x, K, alpha=args.alpha, **options).value, args.bw
+def _inference_fields(args, estimator, fixed_h) -> dict:
+    """The InferenceConfig fields set by a command's options; a field whose
+    option the command lacks keeps its default."""
+    same_name = ("alpha", "p", "q", "rho", "kappa", "vce", "nn_neighbors", "boundary")
+    return dict(
+        {name: value for name, value in vars(args).items() if name in same_name},
+        estimator=estimator, kernel_name=args.kernel, bias_kernel_name=args.bias_kernel,
+        bw_rule="fixed" if fixed_h is not None else args.bw or "dpi", fixed_h=fixed_h,
+    )
 
 
-def _emit_inference(res, h, rule, sample, args, argv):
-    payload = res.to_dict()
-    payload["bandwidth"] = {"value": h, "rule": rule}
+def cmd_infer(args, argv):
+    config = InferenceConfig(**_inference_fields(args, args.command, _fixed_bandwidth(args.h)))
+    read = read_density_table if config.estimator == "density" else read_regression_table
+    sample = read(args.data)
+    bandwidth, infer = config.on_sample(sample)
+    h = bandwidth(args.x)
+    payload = infer(args.x, h).to_dict()
+    payload["bandwidth"] = {"value": h, "rule": config.bw_rule}
     payload["n"] = sample.n
     _emit(payload, args, argv, _args_config(args), [args.data])
     return 0
-
-
-def cmd_density_infer(args, argv):
-    check_rho("density", args.rho)
-    h = _fixed_bandwidth(args.h)
-    critical_value(args.alpha)
-    sample = read_density_table(args.data)
-    K = kernel(args.kernel)
-    L = kernel(args.bias_kernel)
-    h, rule = _infer_bandwidth(h, args, sample, K, L=L, kappa=args.kappa)
-    b = math.inf if args.rho == 0 else h / args.rho
-    res = density_infer(sample, args.x, h, b, K, L, args.kappa, args.alpha)
-    return _emit_inference(res, h, rule, sample, args, argv)
-
-
-def cmd_lpreg_infer(args, argv):
-    check_rho("lpreg", args.rho)
-    h = _fixed_bandwidth(args.h)
-    critical_value(args.alpha)
-    sample = read_regression_table(args.data)
-    K = kernel(args.kernel)
-    L = kernel(args.bias_kernel or args.kernel)
-    h, rule = _infer_bandwidth(h, args, sample, K, p=args.p, boundary=args.boundary)
-    method = VarianceMethod(args.vce, args.nn_neighbors)
-    res = lp_infer(sample, args.x, args.p, args.q, h, h / args.rho, K, L, args.alpha, method)
-    return _emit_inference(res, h, rule, sample, args, argv)
 
 
 def cmd_bw(args, argv):
@@ -293,51 +279,43 @@ def cmd_sim(args, argv):
         raise SchemaError("--h and --h-grid exclude each other: give one fixed bandwidth or a grid")
     if args.h_grid and not args.curves:
         raise SchemaError("--h-grid requires --curves for the output table")
+    if args.h_grid and args.out:
+        raise SchemaError("--out and --h-grid exclude each other: a grid study writes only --curves")
     grid = _parse_grid(args.h_grid) if args.h_grid else None
     estimator = args.sim_command
     default_points = "-2,-1,0,1,2" if estimator == "density" else "-0.6667,-0.3333,0,0.3333,0.6667"
     points = _parse_points(default_points if args.points is None else args.points)
     x_law = _parse_points(args.x_law) if args.x_law else None
+    # a grid study runs the fixed rule at each grid bandwidth
+    fixed_h = float(grid[0]) if grid else args.h
     config = McConfig(
-        estimator=estimator,
+        **_inference_fields(args, estimator, fixed_h),
         model=args.model,
         n=args.n,
         replications=args.reps,
         evaluation_points=points,
-        alpha=args.alpha,
-        p=args.p,
-        q=args.q,
-        rho=args.rho,
-        kappa=args.kappa,
-        kernel_name=args.kernel,
-        bias_kernel_name=args.bias_kernel,
-        vce=args.vce,
-        nn_neighbors=args.nn_neighbors,
-        bw_rule="fixed" if args.h is not None else args.bw or "dpi",
-        fixed_h=args.h,
-        boundary=args.boundary,
         x_law=x_law,
         seed=args.seed,
     )
     workers = _resolve_workers(args)
     outputs = []
+    echoed = config.echo()
 
     rows = None
     if grid:
         rows = bandwidth_grid_sweep(config, grid, workers=workers)
-        report = None
+        echoed.update(fixed_h=None, h_grid=[float(h) for h in grid])
     else:
         report = run_mc(config, workers=workers)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(_dump_json(report.to_dict()) + "\n")
+            outputs.append(args.out)
+        else:
+            print(_dump_json(report.to_dict()))
         if args.curves:
             # degenerate single-rule "curve" at each point's mean bandwidth
             rows = curve_rows(report, [stats["mean"] for stats in report.bandwidth_stats])
-
-    if report is not None and args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_dump_json(report.to_dict()) + "\n")
-        outputs.append(args.out)
-    elif report is not None:
-        print(_dump_json(report.to_dict()))
 
     if rows is not None:
         multi_x = len(points) > 1
@@ -353,7 +331,7 @@ def cmd_sim(args, argv):
         outputs.append(args.curves)
 
     if outputs:
-        _write_manifest(outputs[0], argv, config.echo(), args.seed, [], outputs)
+        _write_manifest(outputs[0], argv, echoed, args.seed, [], outputs)
     return 0
 
 
@@ -431,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     dens = command(
-        "density", "kernel density estimation", cmd_density_infer,
+        "density", "kernel density estimation", cmd_infer,
         estimation + ("--h", "--bw", "--rho", "--kappa", "--bias-kernel", "--out"),
         bw=dict(choices=RULES["density"], help="rule for --h auto; dpi optimizes h for rho = 1"),
         bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
     )
     dens.add_argument("subcommand", choices=("infer",))
     lp = command(
-        "lpreg", "local polynomial regression", cmd_lpreg_infer,
+        "lpreg", "local polynomial regression", cmd_infer,
         estimation + ("--h", "--bw", "--p", "--q", "--rho", "--vce", "--nn-neighbors",
                       "--bias-kernel", "--boundary", "--out"),
         bw=dict(

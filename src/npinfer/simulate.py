@@ -37,6 +37,7 @@ __all__ = [
     "RegressionModel",
     "DENSITY_MODELS",
     "REGRESSION_MODELS",
+    "InferenceConfig",
     "McConfig",
     "McReport",
     "gen_density_sample",
@@ -186,43 +187,17 @@ def gen_regression_sample(
 # configuration and report
 # ----------------------------------------------------------------------
 
-def _config_checked(build, *args):
-    """Call build(*args) and raise its ValueError as a ConfigError."""
-    try:
-        build(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def check_rho(estimator: str, rho: float) -> None:
-    """rho = h/b must be finite, and positive for lpreg or nonnegative for
-    density (rho = 0 there means b = inf: no bias correction)."""
-    if not math.isfinite(rho):
-        raise ConfigError(f"rho must be finite, got {rho!r}")
-    if estimator == "lpreg" and not rho > 0:
-        raise ConfigError(f"rho must be positive for local polynomial estimation, got {rho!r}")
-    if rho < 0:
-        raise ConfigError(f"rho must be nonnegative, got {rho!r}")
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """One Monte Carlo experiment.
+@dataclass(frozen=True, kw_only=True)
+class InferenceConfig:
+    """One inference setting; an invalid one raises ``ConfigError`` when it
+    is built, before any data are read or drawn.
 
     ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed", the
     one rule that takes ``fixed_h`` (and requires it).  ``boundary``
-    switches the local polynomial selectors to the boundary rate;
-    ``x_law``, when set, is the (lo, hi) support of the uniform regression
-    design.  An invalid setting raises ``ConfigError`` here, before any
-    replication runs.  The worker count is an argument of ``run_mc``; it
-    never enters the report.
+    switches the local polynomial selectors to the boundary rate.
     """
 
     estimator: str  # "density" | "lpreg"
-    model: int
-    n: int
-    replications: int
-    evaluation_points: tuple
     alpha: float = 0.05
     p: int = 1
     q: int = 2
@@ -235,11 +210,16 @@ class McConfig:
     bw_rule: str = "dpi"
     fixed_h: float | None = None
     boundary: bool = False
-    x_law: tuple | None = None
-    seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "evaluation_points", tuple(float(x) for x in self.evaluation_points))
+        try:
+            self._check()
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a kernel, variance method or level that the library rejects
+            raise ConfigError(str(exc)) from exc
+
+    def _check(self):
         if self.estimator not in RULES:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         rules = RULES[self.estimator] + ("fixed",)
@@ -247,24 +227,20 @@ class McConfig:
             raise ConfigError(
                 f"unknown {self.estimator} bandwidth rule {self.bw_rule!r}; expected one of {rules}"
             )
-        _config_checked(kernel, self.kernel_name)
-        if self.bias_kernel_name is not None:
-            _config_checked(kernel, self.bias_kernel_name)
-        if self.estimator == "lpreg":
-            _config_checked(VarianceMethod, self.vce, self.nn_neighbors)
-        check_rho(self.estimator, self.rho)
-        if self.estimator == "density" and (self.rho > 0 or self.bw_rule == "dpi"):
+        K, L, _ = self.resolve()
+        lpreg = self.estimator == "lpreg"
+        # rho = h/b; for densities rho = 0 means b = inf: no bias correction
+        if not math.isfinite(self.rho):
+            raise ConfigError(f"rho must be finite, got {self.rho!r}")
+        if lpreg and not self.rho > 0:
+            raise ConfigError(f"rho must be positive for local polynomial estimation, got {self.rho!r}")
+        if self.rho < 0:
+            raise ConfigError(f"rho must be nonnegative, got {self.rho!r}")
+        if not lpreg and (self.rho > 0 or self.bw_rule == "dpi"):
             # the bias kernel's kappa-th derivative enters the bias estimate
             # and the induced kernel; rho = 0 without DPI never forms it
-            bias_kernel = kernel(self.bias_kernel_name or DEFAULT_BIAS_KERNEL)
-            _config_checked(derivative_part, bias_kernel, self.kappa)
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n!r}")
-        if not self.evaluation_points:
-            raise ConfigError("evaluation_points must not be empty")
-        _config_checked(critical_value, self.alpha)
+            derivative_part(L, self.kappa)
+        critical_value(self.alpha)
         if self.bw_rule == "fixed" and not (
             self.fixed_h is not None and math.isfinite(self.fixed_h) and self.fixed_h > 0
         ):
@@ -274,12 +250,68 @@ class McConfig:
                 f"fixed_h={self.fixed_h!r} is used only by the fixed bandwidth rule, "
                 f"not by bw_rule={self.bw_rule!r}"
             )
-        if self.estimator == "lpreg" and not 0 <= self.p < self.q:
+        if lpreg and not 0 <= self.p < self.q:
             raise ConfigError(
-                f"local polynomial simulations require q > p >= 0, got p={self.p}, q={self.q}"
+                f"local polynomial estimation requires q > p >= 0, got p={self.p}, q={self.q}"
             )
-        if self.estimator == "lpreg" and self.bw_rule != "fixed" and not self.boundary:
-            _config_checked(_lp_bias_constants, kernel(self.kernel_name), self.p)
+        if lpreg and self.bw_rule != "fixed" and not self.boundary:
+            _lp_bias_constants(K, self.p)
+
+    def resolve(self):
+        """(K, L, method): the kernel, the bias kernel (by default
+        DEFAULT_BIAS_KERNEL for densities and K for lpreg) and the lpreg
+        VarianceMethod (None for densities)."""
+        default = DEFAULT_BIAS_KERNEL if self.estimator == "density" else self.kernel_name
+        K, L = kernel(self.kernel_name), kernel(self.bias_kernel_name or default)
+        return K, L, VarianceMethod(self.vce, self.nn_neighbors) if self.estimator == "lpreg" else None
+
+    def on_sample(self, sample):
+        """(bandwidth, infer) on one sample: ``bandwidth(x)`` is ``fixed_h`` or
+        what ``bw_rule`` selects at x, and ``infer(x, h)`` runs the estimator
+        at x with b = inf if rho = 0, else h/rho."""
+        K, L, method = self.resolve()
+
+        def bandwidth(x):
+            if self.bw_rule == "fixed":
+                return self.fixed_h
+            return select(
+                self.bw_rule, sample, x, K, L=L, kappa=self.kappa, p=self.p,
+                boundary=self.boundary, alpha=self.alpha,
+            ).value
+
+        def infer(x, h):
+            b = math.inf if self.rho == 0 else h / self.rho
+            if self.estimator == "density":
+                return density_infer(sample, x, h, b, K, L, self.kappa, self.alpha)
+            return lp_infer(sample, x, self.p, self.q, h, b, K, L, self.alpha, method)
+
+        return bandwidth, infer
+
+
+@dataclass(frozen=True, kw_only=True)
+class McConfig(InferenceConfig):
+    """One Monte Carlo experiment: an inference setting on ``replications``
+    samples of size ``n`` from a simulation model.  ``x_law``, when set, is
+    the (lo, hi) support of the uniform regression design.  The worker
+    count is an argument of ``run_mc``; it never enters the report.
+    """
+
+    model: int
+    n: int
+    replications: int
+    evaluation_points: tuple
+    x_law: tuple | None = None
+    seed: int = 1
+
+    def _check(self):
+        object.__setattr__(self, "evaluation_points", tuple(float(x) for x in self.evaluation_points))
+        super()._check()
+        if self.replications < 1:
+            raise ConfigError("replications must be >= 1")
+        if self.n < 2:
+            raise ConfigError(f"n must be >= 2, got {self.n!r}")
+        if not self.evaluation_points:
+            raise ConfigError("evaluation_points must not be empty")
         if self.estimator == "density" and self.model not in DENSITY_MODELS:
             raise ConfigError(f"unknown density model {self.model}")
         if self.estimator == "lpreg" and self.model not in REGRESSION_MODELS:
@@ -357,35 +389,21 @@ def _one_replication(config: McConfig, rep: int, h_grid=(None,)) -> list:
     status 0 = ok, 1 = singular design, 2 = bandwidth undefined.
     """
     rng = replication_rng(config.seed, rep)
-    K = kernel(config.kernel_name)
     if config.estimator == "density":
         sample = gen_density_sample(DENSITY_MODELS[config.model], config.n, rng)
-        L = kernel(config.bias_kernel_name or DEFAULT_BIAS_KERNEL)
-
-        def infer(x, h, b):
-            return density_infer(sample, x, h, b, K, L, config.kappa, config.alpha)
     else:
         sample = gen_regression_sample(REGRESSION_MODELS[config.model], config.n, rng, config.x_law)
-        L = kernel(config.bias_kernel_name or config.kernel_name)
-        method = VarianceMethod(config.vce, config.nn_neighbors)
-
-        def infer(x, h, b):
-            return lp_infer(sample, x, config.p, config.q, h, b, K, L, config.alpha, method)
-
+    bandwidth, infer = config.on_sample(sample)
     out = []
     for h, x in product(h_grid, config.evaluation_points):
         try:
             if h is None:
-                h = config.fixed_h if config.bw_rule == "fixed" else select(
-                    config.bw_rule, sample, x, K, L=L, kappa=config.kappa, p=config.p,
-                    boundary=config.boundary, alpha=config.alpha,
-                ).value
+                h = bandwidth(x)
         except (ZeroCurvatureError, SingularDesignError):
             out.append((2, math.nan, None))
             continue
-        b = math.inf if config.rho == 0 else h / config.rho
         try:
-            res = infer(x, h, b)
+            res = infer(x, h)
         except NpinferError:
             out.append((1, h, None))
             continue

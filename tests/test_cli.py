@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from npinfer import cli, kernel, simulate
 from npinfer.bandwidth import RULES, select
 from npinfer.cli import _read_rows, build_parser, main, read_density_table, read_regression_table
-from npinfer.errors import ParseError, SchemaError
+from npinfer.errors import ConfigError, ParseError, SchemaError
+from npinfer.simulate import McConfig
 
 
 @pytest.fixture()
@@ -500,8 +501,43 @@ class TestRuleParity:
         monkeypatch.setattr(cli, "_read_rows", must_not_run)
         assert main(command + ["--data", "t.csv", "--x", "0", "--alpha", alpha]) == 1
         error = _last_error(capsys)
-        assert error["error"] == "ValueError"
+        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
         assert f"alpha must lie in (0, 1), got {float(alpha)!r}" in error["message"]
+
+    @pytest.mark.parametrize(
+        "estimator, options, fields, fragment",
+        [
+            ("lpreg", ["--q", "1"], {"q": 1}, "q > p >= 0, got p=1, q=1"),
+            ("lpreg", ["--p", "-1", "--h", "0.5"], {"p": -1, "bw_rule": "fixed", "fixed_h": 0.5},
+             "q > p >= 0, got p=-1, q=2"),
+            ("lpreg", ["--vce", "nn", "--nn-neighbors", "0"], {"vce": "nn", "nn_neighbors": 0},
+             "nn_neighbors must be >= 1"),
+            ("lpreg", ["--p", "2", "--q", "3", "--h", "auto"], {"p": 2, "q": 3},
+             "degree p = 2 with kernel 'epanechnikov'"),
+            ("density", ["--kappa", "4"], {"kappa": 4}, "order-4 derivative kernel"),
+            ("density", ["--rho", "nan"], {"rho": math.nan}, "rho must be finite, got nan"),
+            ("lpreg", ["--rho", "nan"], {"rho": math.nan}, "rho must be finite, got nan"),
+            ("density", ["--rho", "-1"], {"rho": -1.0}, "rho must be nonnegative, got -1.0"),
+            ("lpreg", ["--rho", "-1"], {"rho": -1.0}, "rho must be positive"),
+            ("density", ["--alpha", "1.5"], {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
+            ("lpreg", ["--alpha", "1.5"], {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
+        ],
+        ids=["q-not-above-p", "negative-p", "no-neighbors", "even-degree", "kappa-4",
+             "density-rho-nan", "lpreg-rho-nan", "density-rho-negative", "lpreg-rho-negative",
+             "density-alpha", "lpreg-alpha"],
+    )
+    def test_infer_and_mc_config_reject_alike(self, estimator, options, fields, fragment,
+                                              monkeypatch, capsys):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("the data were read")
+
+        with pytest.raises(ConfigError) as exc:
+            McConfig(estimator=estimator, model=1 if estimator == "density" else 5, n=60,
+                     replications=2, evaluation_points=(0.0,), **fields)
+        assert fragment in str(exc.value)
+        monkeypatch.setattr(cli, "_read_rows", must_not_run)
+        assert main([estimator, "infer", "--data", "t.csv", "--x", "0"] + options) == 1
+        assert _last_error(capsys) == {"error": "ConfigError", "message": str(exc.value)}
 
     def test_lpreg_dpi_rejects_alpha_above_one(self, regression_csv, capsys):
         argv = ["bw", "--estimator", "lpreg", "--method", "dpi", "--alpha", "1.5"]
@@ -517,7 +553,7 @@ class TestRuleParity:
         code = main(command + ["--data", regression_csv, "--x", "0", "--p", "2"])
         assert code == 1
         error = _last_error(capsys)
-        assert error["error"] == "ValueError"
+        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
         assert "degree p = 2 with kernel 'epanechnikov'" in error["message"]
 
     @pytest.mark.parametrize(
@@ -529,7 +565,7 @@ class TestRuleParity:
         code = main(command + ["--data", regression_csv, "--x", "0", "--kernel", "minvar-order4"])
         assert code == 1
         error = _last_error(capsys)
-        assert error["error"] == "ValueError"
+        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
         assert "kernel 'minvar-order4'" in error["message"]
         assert "second moment vanishes" in error["message"]
 
@@ -568,6 +604,18 @@ class TestSimCommand:
         assert lines[0] == "h,method,coverage,mean_length,mean_bias"
         assert len(lines) == 1 + 2 * 3
 
+    def test_sweep_manifest_records_the_grid(self, tmp_path):
+        curves = tmp_path / "c.csv"
+        code = main(
+            ["sim", "lpreg", "--model", "5", "--n", "60", "--reps", "2", "--points", "0",
+             "--h-grid", "0.2:0.4:2", "--curves", str(curves), "--workers", "1"]
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "c.csv.manifest.json").read_text())["config"]
+        assert config["bw_rule"] == "fixed" and config["fixed_h"] is None
+        rows = curves.read_text().splitlines()[1:]
+        assert config["h_grid"] == sorted({float(row.split(",")[0]) for row in rows})
+
     def test_curves_with_no_used_replication(self, tmp_path):
         # every pilot fails far outside the data, so the point has no mean h
         curves = tmp_path / "c.csv"
@@ -598,11 +646,13 @@ class TestSimCommand:
             (["sim", "density", "--h", "0.3", "--bw", "dpi"], "SchemaError", "--bw and --h "),
             (["sim", "lpreg", "--h-grid", "0.2:0.4:2", "--bw", "mse", "--curves", "x.csv"],
              "SchemaError", "--bw and --h-grid"),
+            (["sim", "lpreg", "--h-grid", "0.2:0.4:2", "--curves", "x.csv", "--out", "r.json"],
+             "SchemaError", "--out and --h-grid"),
         ],
         ids=["grid-without-curves", "inf-hi", "nan-lo", "nan-hi",
              "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
              "even-degree", "h-with-grid", "bw-with-h", "bw-named-default-with-h",
-             "bw-with-grid"],
+             "bw-with-grid", "out-with-grid"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):
