@@ -351,19 +351,24 @@ def dpi_bandwidth_density(
     L: KernelSpec,
     kappa: int = 2,
     alpha: float = 0.05,
+    rho: float = 1.0,
 ) -> BandwidthChoice:
-    """Direct plug-in coverage-error-optimal bandwidth for the RBC density interval.
+    """Direct plug-in coverage-error-optimal bandwidth for the RBC density
+    interval with b = h/rho.
 
-    Fixes rho = 1, estimates f^(kappa+2)(x) with a minimum-variance
-    derivative kernel at its normal-reference pilot bandwidth, and
-    minimizes the absolute three-term objective in H; the selected
+    Estimates f^(kappa+2)(x) with a minimum-variance derivative kernel at
+    its normal-reference pilot bandwidth, and minimizes the absolute
+    three-term objective of the induced kernel at rho in H; the selected
     bandwidth is H * n^(-1/(kappa+3)).  Falls back to the "rot" rule, or
     Silverman's where that is undefined (flagged), when a pilot degenerates
     or the objective is monotone on the bracket; fewer than two
     observations or a zero sample sd raise ZeroCurvatureError, and an
-    alpha outside (0, 1) ValueError.
+    alpha outside (0, 1) or a rho that is not positive and finite
+    ValueError.
     """
     z = critical_value(alpha)
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"the density dpi rule needs a positive finite rho, got {rho!r}")
     n = sample.n
     sigma_x = _sd(sample)
     mu_x = _mean(sample)
@@ -390,7 +395,7 @@ def dpi_bandwidth_density(
     if abs(f_nu) * sigma_x ** (nu + 1) < 1e-12:
         return _fallback("estimated f^(kappa+2) vanished")
 
-    M = induced_kernel(K, L, kappa, 1.0)
+    M = induced_kernel(K, L, kappa, rho)
     q1, q2, q3 = coverage_polys(M, z)
     eta = f_nu * M.moment_mu(kappa + 2)
     try:
@@ -776,6 +781,7 @@ def select(
     L: KernelSpec | None = None,
     kappa: int = 2,
     p: int = 1,
+    rho: float = 1.0,
     boundary: bool = False,
     alpha: float = 0.05,
 ) -> BandwidthChoice:
@@ -787,7 +793,8 @@ def select(
     optimal; for densities under a Normal reference with the sample's mean
     and sd), "rot" (the MSE bandwidth rescaled to the coverage-error
     rate) and, for densities, "silverman".  Density rules use the order
-    ``kappa`` and, for "dpi", the bias kernel ``L``; local polynomial rules
+    ``kappa`` and, for "dpi", the bias kernel ``L`` and the ratio
+    ``rho`` = h/b of the interval that h serves; local polynomial rules
     use the degree ``p`` and the ``boundary`` rate.  Every rule raises
     ZeroCurvatureError for fewer than two observations or zero spread, and
     an unknown rule raises ValueError; so do an alpha outside (0, 1) and a
@@ -813,7 +820,7 @@ def select(
         if rule == "dpi":
             if L is None:
                 raise ValueError("the density dpi rule needs the bias kernel L")
-            return dpi_bandwidth_density(sample, x, K, L, kappa, alpha)
+            return dpi_bandwidth_density(sample, x, K, L, kappa, alpha, rho)
         if rule == "silverman":
             return silverman_rot_density(sample, kappa)
         mu, sigma = _mean(sample), _sd(sample)

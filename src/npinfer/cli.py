@@ -3,10 +3,10 @@ runs with persisted JSON/CSV artifacts and a reproducibility manifest.
 
 Commands: density infer, lpreg infer, bw, kernels show, and sim density|lpreg,
 whose --h-grid lo:hi:count sweeps a bandwidth grid on one set of replications.
-Only sim draws random numbers, so only sim takes --seed.  The infer commands
-build an InferenceConfig, and sim an McConfig, from their options, so every
-bad setting is a ConfigError before the data are read or a replication runs;
-bw checks its settings in select, after the read.
+Only sim draws random numbers, so only sim takes --seed.  bw and the infer
+commands build an InferenceConfig, and sim an McConfig, from their options,
+so every bad setting is a ConfigError before the data are read or a
+replication runs.
 
 Exit codes: 0 success, 2 usage error, 1 estimation error.  All errors are
 printed as one-line JSON objects on standard error.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -26,8 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bandwidth import RULES, select
-from .density import DEFAULT_BIAS_KERNEL, DensitySample, critical_value
+from .bandwidth import RULES
+from .density import DensitySample
 from .errors import ConfigError, NpinferError, ParseError, SchemaError
 from .kernels import TruncatedSupport, kernel, kernel_names
 from .locpoly import RegressionSample, VarianceMethod
@@ -213,10 +214,11 @@ def _inference_fields(args, estimator, fixed_h) -> dict:
     """The InferenceConfig fields set by a command's options; a field whose
     option the command lacks keeps its default."""
     same_name = ("alpha", "p", "q", "rho", "kappa", "vce", "nn_neighbors", "boundary")
+    rule = getattr(args, "method", None) or args.bw  # bw names its rule --method
     return dict(
         {name: value for name, value in vars(args).items() if name in same_name},
         estimator=estimator, kernel_name=args.kernel, bias_kernel_name=args.bias_kernel,
-        bw_rule="fixed" if fixed_h is not None else args.bw or "dpi", fixed_h=fixed_h,
+        bw_rule="fixed" if fixed_h is not None else rule or "dpi", fixed_h=fixed_h,
     )
 
 
@@ -225,7 +227,7 @@ def cmd_infer(args, argv):
     read = read_density_table if config.estimator == "density" else read_regression_table
     sample = read(args.data)
     bandwidth, infer = config.on_sample(sample)
-    h = bandwidth(args.x)
+    h = bandwidth(args.x).value
     payload = infer(args.x, h).to_dict()
     payload["bandwidth"] = {"value": h, "rule": config.bw_rule}
     payload["n"] = sample.n
@@ -234,16 +236,10 @@ def cmd_infer(args, argv):
 
 
 def cmd_bw(args, argv):
-    critical_value(args.alpha)
-    if args.estimator == "density":
-        sample = read_density_table(args.data)
-        options = {"L": kernel(args.bias_kernel), "kappa": args.kappa}
-    else:
-        sample = read_regression_table(args.data)
-        options = {"p": args.p, "boundary": args.boundary}
-    choice = select(args.method, sample, args.x, kernel(args.kernel), alpha=args.alpha, **options)
-    payload = {"value": choice.value, "rule": choice.rule, "diagnostics": choice.diagnostics}
-    _emit(payload, args, argv, _args_config(args), [args.data])
+    config = InferenceConfig(**_inference_fields(args, args.estimator, None))
+    read = read_density_table if config.estimator == "density" else read_regression_table
+    choice = config.on_sample(read(args.data))[0](args.x)
+    _emit(dataclasses.asdict(choice), args, argv, _args_config(args), [args.data])
     return 0
 
 
@@ -385,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--h": dict(default="auto", help="bandwidth value or 'auto'"),
         "--bw": dict(default="dpi", choices=all_rules),
         "--p": dict(type=int, default=1),
-        "--q": dict(type=int, default=2),
+        "--q": dict(type=int, default=None, help="bias-correction degree (default p + 1)"),
         "--rho": dict(type=float, default=1.0),
         "--kappa": dict(type=int, default=2),
         "--bias-kernel": dict(default=None, choices=kernels),
@@ -411,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     dens = command(
         "density", "kernel density estimation", cmd_infer,
         estimation + ("--h", "--bw", "--rho", "--kappa", "--bias-kernel", "--out"),
-        bw=dict(choices=RULES["density"], help="rule for --h auto; dpi optimizes h for rho = 1"),
-        bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
+        bw=dict(choices=RULES["density"], help="rule for --h auto; dpi optimizes h for --rho"),
     )
     dens.add_argument("subcommand", choices=("infer",))
     lp = command(
@@ -429,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     bw = command(
         "bw", "bandwidth selection", cmd_bw,
         estimation + ("--p", "--kappa", "--bias-kernel", "--boundary", "--out"),
-        bias_kernel=dict(default=DEFAULT_BIAS_KERNEL),
     )
     bw.add_argument("--method", default="dpi", choices=all_rules)
     bw.add_argument("--estimator", default="density", choices=tuple(RULES))

@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import product, repeat
 from typing import Callable, Sequence
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import RULES, _lp_bias_constants, select
+from .bandwidth import RULES, BandwidthChoice, _lp_bias_constants, select
 from .density import DEFAULT_BIAS_KERNEL, METHODS, DensitySample, critical_value, density_infer
 from .errors import ConfigError, NpinferError, SingularDesignError, ZeroCurvatureError
 from .kernels import derivative_part, kernel
@@ -194,13 +194,18 @@ class InferenceConfig:
 
     ``bw_rule`` is one of ``bandwidth.RULES[estimator]`` or "fixed", the
     one rule that takes ``fixed_h`` (and requires it).  ``boundary``
-    switches the local polynomial selectors to the boundary rate.
+    switches the local polynomial selectors to the boundary rate.  ``q``
+    defaults to p + 1; a setting that the estimator never reads must keep
+    its default.
     """
+
+    # per estimator, the fields that it never reads
+    _unread = {"density": ("p", "q", "vce", "nn_neighbors", "boundary"), "lpreg": ("kappa",)}
 
     estimator: str  # "density" | "lpreg"
     alpha: float = 0.05
     p: int = 1
-    q: int = 2
+    q: int | None = None
     rho: float = 1.0
     kappa: int = 2
     kernel_name: str = "epanechnikov"
@@ -227,6 +232,14 @@ class InferenceConfig:
             raise ConfigError(
                 f"unknown {self.estimator} bandwidth rule {self.bw_rule!r}; expected one of {rules}"
             )
+        # an unset q is p + 1, so a config rebuilt by dataclasses.replace stays valid
+        unset = {field.name: field.default for field in fields(self)} | {"q": self.p + 1}
+        if self.q is None:
+            object.__setattr__(self, "q", self.p + 1)
+        given = [f"{name}={getattr(self, name)!r}" for name in self._unread[self.estimator]
+                 if getattr(self, name) != unset[name]]
+        if given:
+            raise ConfigError(f"{self.estimator} estimation never reads {', '.join(given)}")
         K, L, _ = self.resolve()
         lpreg = self.estimator == "lpreg"
         # rho = h/b; for densities rho = 0 means b = inf: no bias correction
@@ -236,9 +249,11 @@ class InferenceConfig:
             raise ConfigError(f"rho must be positive for local polynomial estimation, got {self.rho!r}")
         if self.rho < 0:
             raise ConfigError(f"rho must be nonnegative, got {self.rho!r}")
-        if not lpreg and (self.rho > 0 or self.bw_rule == "dpi"):
+        if self.rho == 0 and self.bw_rule == "dpi":
+            raise ConfigError("the dpi rule needs rho > 0: rho = 0 has no RBC interval to serve")
+        if not lpreg and self.rho > 0:
             # the bias kernel's kappa-th derivative enters the bias estimate
-            # and the induced kernel; rho = 0 without DPI never forms it
+            # and the induced kernel; rho = 0 never forms it
             derivative_part(L, self.kappa)
         critical_value(self.alpha)
         if self.bw_rule == "fixed" and not (
@@ -266,18 +281,18 @@ class InferenceConfig:
         return K, L, VarianceMethod(self.vce, self.nn_neighbors) if self.estimator == "lpreg" else None
 
     def on_sample(self, sample):
-        """(bandwidth, infer) on one sample: ``bandwidth(x)`` is ``fixed_h`` or
-        what ``bw_rule`` selects at x, and ``infer(x, h)`` runs the estimator
-        at x with b = inf if rho = 0, else h/rho."""
+        """(bandwidth, infer) on one sample: ``bandwidth(x)`` is the BandwidthChoice
+        of ``fixed_h`` or of ``bw_rule`` at x, and ``infer(x, h)`` runs the
+        estimator at x with b = inf if rho = 0, else h/rho."""
         K, L, method = self.resolve()
 
         def bandwidth(x):
             if self.bw_rule == "fixed":
-                return self.fixed_h
+                return BandwidthChoice(self.fixed_h, "fixed")
             return select(
-                self.bw_rule, sample, x, K, L=L, kappa=self.kappa, p=self.p,
+                self.bw_rule, sample, x, K, L=L, kappa=self.kappa, p=self.p, rho=self.rho,
                 boundary=self.boundary, alpha=self.alpha,
-            ).value
+            )
 
         def infer(x, h):
             b = math.inf if self.rho == 0 else h / self.rho
@@ -295,6 +310,8 @@ class McConfig(InferenceConfig):
     the (lo, hi) support of the uniform regression design.  The worker
     count is an argument of ``run_mc``; it never enters the report.
     """
+
+    _unread = dict(InferenceConfig._unread, density=InferenceConfig._unread["density"] + ("x_law",))
 
     model: int
     n: int
@@ -398,7 +415,7 @@ def _one_replication(config: McConfig, rep: int, h_grid=(None,)) -> list:
     for h, x in product(h_grid, config.evaluation_points):
         try:
             if h is None:
-                h = bandwidth(x)
+                h = bandwidth(x).value
         except (ZeroCurvatureError, SingularDesignError):
             out.append((2, math.nan, None))
             continue

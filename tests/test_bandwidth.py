@@ -279,15 +279,33 @@ class TestMinimizer:
 
 class TestDensityDpi:
     def test_objective_coefficients_match_symbolic_oracle(self):
+        self._match_symbolic_oracle(1.0)
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_objective_follows_rho(self, rho):
+        self._match_symbolic_oracle(rho)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_rho_without_rbc_objective_rejected(self, rho, monkeypatch):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a pilot ran")
+
+        monkeypatch.setattr(bandwidth, "_derivative_pilot_bandwidth", must_not_run)
+        s = DensitySample(np.random.default_rng(3).standard_normal(50))
+        with pytest.raises(ValueError, match="positive finite rho"):
+            select("dpi", s, 0.0, EPA, L=MSE2, rho=rho)
+
+    @staticmethod
+    def _match_symbolic_oracle(rho):
         rng = np.random.default_rng(3)
         s = DensitySample(rng.standard_normal(600))
-        bw = dpi_bandwidth_density(s, 0.0, EPA, MSE2, 2, 0.05)
+        bw = dpi_bandwidth_density(s, 0.0, EPA, MSE2, 2, 0.05, rho)
         assert not bw.fallback
         a, b, c = bw.diagnostics["objective_coeffs"]
 
         # independent symbolic evaluation: quadrature moments of M and the
         # closed-form polynomials at the normal quantile
-        M = induced_kernel(EPA, MSE2, 2, 1.0)
+        M = induced_kernel(EPA, MSE2, 2, rho)
         lo, hi = M.support
         cuts = sorted({float(p[0]) for p in M.pieces} | {float(p[1]) for p in M.pieces})
         def theta(k):

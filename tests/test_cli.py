@@ -315,6 +315,13 @@ class TestLpregInferCommand:
         flavors = [ci["flavor"] for ci in payload["intervals"]]
         assert flavors == ["US", "BC", "RBC"]
 
+    def test_q_defaults_to_p_plus_one(self, regression_csv, capsys):
+        argv = ["lpreg", "infer", "--data", regression_csv, "--x", "0", "--p", "3",
+                "--h", "auto", "--bw", "mse"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["p"] == 3 and payload["q"] == 4
+
 
 class TestBwCommand:
     def test_density_bw(self, density_csv, capsys):
@@ -363,11 +370,21 @@ class TestRuleParity:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["value"] == h
 
+    def test_density_dpi_follows_rho(self, density_csv, capsys):
+        sample = read_density_table(density_csv)
+        K, L = kernel("epanechnikov"), kernel("mseopt-deriv2")
+        h = select("dpi", sample, 0.3, K, L=L, rho=0.5).value
+        assert h != select("dpi", sample, 0.3, K, L=L).value
+        argv = ["density", "infer", "--data", density_csv, "--x", "0.3", "--rho", "0.5",
+                "--h", "auto"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["bandwidth"] == {"value": h, "rule": "dpi"}
+
     def test_bw_rule_the_estimator_lacks_is_estimation_error(self, regression_csv, capsys):
         argv = ["bw", "--data", regression_csv, "--x", "0.3", "--estimator", "lpreg",
                 "--method", "silverman"]
         assert main(argv) == 1
-        assert _last_error(capsys)["error"] == "ValueError"
+        assert _last_error(capsys)["error"] == "ConfigError"
 
     def test_degenerate_silverman_is_zero_curvature(self, tmp_path, capsys):
         path = tmp_path / "constant.csv"
@@ -501,33 +518,44 @@ class TestRuleParity:
         monkeypatch.setattr(cli, "_read_rows", must_not_run)
         assert main(command + ["--data", "t.csv", "--x", "0", "--alpha", alpha]) == 1
         error = _last_error(capsys)
-        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
+        assert error["error"] == "ConfigError"
         assert f"alpha must lie in (0, 1), got {float(alpha)!r}" in error["message"]
 
     @pytest.mark.parametrize(
-        "estimator, options, fields, fragment",
+        "estimator, infer_options, bw_options, fields, fragment",
         [
-            ("lpreg", ["--q", "1"], {"q": 1}, "q > p >= 0, got p=1, q=1"),
-            ("lpreg", ["--p", "-1", "--h", "0.5"], {"p": -1, "bw_rule": "fixed", "fixed_h": 0.5},
-             "q > p >= 0, got p=-1, q=2"),
-            ("lpreg", ["--vce", "nn", "--nn-neighbors", "0"], {"vce": "nn", "nn_neighbors": 0},
-             "nn_neighbors must be >= 1"),
-            ("lpreg", ["--p", "2", "--q", "3", "--h", "auto"], {"p": 2, "q": 3},
+            ("lpreg", ["--q", "1"], None, {"q": 1}, "q > p >= 0, got p=1, q=1"),
+            ("lpreg", ["--p", "-1", "--h", "0.5"], ["--p", "-1"],
+             {"p": -1, "bw_rule": "fixed", "fixed_h": 0.5}, "q > p >= 0, got p=-1, q=0"),
+            ("lpreg", ["--vce", "nn", "--nn-neighbors", "0"], None,
+             {"vce": "nn", "nn_neighbors": 0}, "nn_neighbors must be >= 1"),
+            ("lpreg", ["--p", "2", "--q", "3", "--h", "auto"], ["--p", "2"], {"p": 2, "q": 3},
              "degree p = 2 with kernel 'epanechnikov'"),
-            ("density", ["--kappa", "4"], {"kappa": 4}, "order-4 derivative kernel"),
-            ("density", ["--rho", "nan"], {"rho": math.nan}, "rho must be finite, got nan"),
-            ("lpreg", ["--rho", "nan"], {"rho": math.nan}, "rho must be finite, got nan"),
-            ("density", ["--rho", "-1"], {"rho": -1.0}, "rho must be nonnegative, got -1.0"),
-            ("lpreg", ["--rho", "-1"], {"rho": -1.0}, "rho must be positive"),
-            ("density", ["--alpha", "1.5"], {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
-            ("lpreg", ["--alpha", "1.5"], {"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
+            ("density", ["--kappa", "4"], ["--kappa", "4"], {"kappa": 4},
+             "order-4 derivative kernel"),
+            ("density", ["--rho", "nan"], None, {"rho": math.nan}, "rho must be finite, got nan"),
+            ("lpreg", ["--rho", "nan"], None, {"rho": math.nan}, "rho must be finite, got nan"),
+            ("density", ["--rho", "-1"], None, {"rho": -1.0}, "rho must be nonnegative, got -1.0"),
+            ("lpreg", ["--rho", "-1"], None, {"rho": -1.0}, "rho must be positive"),
+            ("density", ["--alpha", "1.5"], ["--alpha", "1.5"], {"alpha": 1.5},
+             "alpha must lie in (0, 1), got 1.5"),
+            ("lpreg", ["--alpha", "1.5"], ["--alpha", "1.5"], {"alpha": 1.5},
+             "alpha must lie in (0, 1), got 1.5"),
+            ("lpreg", None, ["--kappa", "4"], {"kappa": 4}, "lpreg estimation never reads kappa=4"),
+            ("density", None, ["--p", "3"], {"p": 3}, "density estimation never reads p=3"),
+            ("lpreg", None, ["--method", "silverman"], {"bw_rule": "silverman"},
+             "unknown lpreg bandwidth rule 'silverman'"),
+            ("density", ["--rho", "0"], None, {"rho": 0.0}, "dpi rule needs rho > 0"),
         ],
         ids=["q-not-above-p", "negative-p", "no-neighbors", "even-degree", "kappa-4",
              "density-rho-nan", "lpreg-rho-nan", "density-rho-negative", "lpreg-rho-negative",
-             "density-alpha", "lpreg-alpha"],
+             "density-alpha", "lpreg-alpha", "lpreg-kappa", "density-p", "lpreg-silverman",
+             "density-dpi-rho-zero"],
     )
-    def test_infer_and_mc_config_reject_alike(self, estimator, options, fields, fragment,
-                                              monkeypatch, capsys):
+    def test_infer_and_mc_config_reject_alike(self, estimator, infer_options, bw_options, fields,
+                                              fragment, monkeypatch, capsys):
+        """McConfig, the infer command and bw give one ConfigError for a setting;
+        None marks a command that has no option for it."""
         def must_not_run(*_args, **_kwargs):
             raise AssertionError("the data were read")
 
@@ -536,8 +564,11 @@ class TestRuleParity:
                      replications=2, evaluation_points=(0.0,), **fields)
         assert fragment in str(exc.value)
         monkeypatch.setattr(cli, "_read_rows", must_not_run)
-        assert main([estimator, "infer", "--data", "t.csv", "--x", "0"] + options) == 1
-        assert _last_error(capsys) == {"error": "ConfigError", "message": str(exc.value)}
+        for command, options in (([estimator, "infer"], infer_options),
+                                 (["bw", "--estimator", estimator], bw_options)):
+            if options is not None:
+                assert main(command + ["--data", "t.csv", "--x", "0"] + options) == 1
+                assert _last_error(capsys) == {"error": "ConfigError", "message": str(exc.value)}
 
     def test_lpreg_dpi_rejects_alpha_above_one(self, regression_csv, capsys):
         argv = ["bw", "--estimator", "lpreg", "--method", "dpi", "--alpha", "1.5"]
@@ -553,7 +584,7 @@ class TestRuleParity:
         code = main(command + ["--data", regression_csv, "--x", "0", "--p", "2"])
         assert code == 1
         error = _last_error(capsys)
-        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
+        assert error["error"] == "ConfigError"
         assert "degree p = 2 with kernel 'epanechnikov'" in error["message"]
 
     @pytest.mark.parametrize(
@@ -565,7 +596,7 @@ class TestRuleParity:
         code = main(command + ["--data", regression_csv, "--x", "0", "--kernel", "minvar-order4"])
         assert code == 1
         error = _last_error(capsys)
-        assert error["error"] == ("ConfigError" if "infer" in command else "ValueError")
+        assert error["error"] == "ConfigError"
         assert "kernel 'minvar-order4'" in error["message"]
         assert "second moment vanishes" in error["message"]
 
@@ -648,11 +679,15 @@ class TestSimCommand:
              "SchemaError", "--bw and --h-grid"),
             (["sim", "lpreg", "--h-grid", "0.2:0.4:2", "--curves", "x.csv", "--out", "r.json"],
              "SchemaError", "--out and --h-grid"),
+            (["sim", "density", "--vce", "nn", "--p", "3", "--boundary", "--q", "5"],
+             "ConfigError", "density estimation never reads p=3, q=5, vce='nn', boundary=True"),
+            (["sim", "density", "--x-law", "5,6"], "ConfigError",
+             "density estimation never reads x_law=(5.0, 6.0)"),
         ],
         ids=["grid-without-curves", "inf-hi", "nan-lo", "nan-hi",
              "empty-points", "fractional-count", "x-law-one-value", "x-law-degenerate",
              "even-degree", "h-with-grid", "bw-with-h", "bw-named-default-with-h",
-             "bw-with-grid", "out-with-grid"],
+             "bw-with-grid", "out-with-grid", "density-regression-settings", "density-x-law"],
     )
     def test_rejected_before_any_replication(self, args, error, fragment, monkeypatch, capsys):
         def must_not_run(*_args, **_kwargs):

@@ -10,8 +10,9 @@ it exactly.
 The digests are this platform's float results (x86-64 Linux, Python 3.11,
 numpy 2.4, scipy 1.17), recorded from the code as it stood before the
 bandwidth rules were routed through ``bandwidth.select``; the two cases
-at rho = 0.3 (``-rho0.3``) were recorded before the kernel algebra was
-cached.  At rho = 1 every call asks for the same induced kernel, while
+at rho = 0.3 (``-rho0.3``) were re-recorded when the density DPI began to
+optimize h for the configured rho instead of rho = 1, which moved their
+bandwidths.  At rho = 1 every call asks for the same induced kernel, while
 b = h/0.3 gives h/b = 0.3 or 0.29999999999999993; each rho = 0.3 case
 is set up to meet the second value, so its results come from two cached
 induced kernels.  The three nearest-neighbor cases (``-nn``) were recorded
@@ -49,7 +50,7 @@ MC_DIGESTS = {
     "density-mse": "b74ae7eb6dd33991d3840a751a5e406d7cb1d099e2da44a324ee965a68431a89",
     "density-silverman": "a075ea67c7d9979ff0ea200f31b0ce63a2378408bb61bdca2c2c7ad22a4ede5c",
     "density-fixed": "4dc43f0bf640e333641c1e893e1808e8744e4b3be6c3c9a13ac84ab3e3d61f7c",
-    "density-dpi-rho0.3": "7dcaa8716d2cca52718bf6939f91fa0383b88af68b61671c29fd90e2740de6ed",
+    "density-dpi-rho0.3": "67a9a576addf88295e6b22bc5b857c8c0a06c224ca4d61cdad9d18629022111d",
     "lpreg-dpi": "71a6f84d1ef13792326989d083e26e9fc58b79a0fa947f36e7f91eab6ff506e3",
     "lpreg-rot": "2a803e97a0e7b380429154128de3cb355c9d487416365208abc7ca52a0243793",
     "lpreg-mse": "07ef266fa0656d9932ba88c0167561b2cd2dd408bf594fdca9d3bc6640b0a977",
@@ -65,7 +66,7 @@ CLI_DIGESTS = {
     "density-infer-mse": "8c07c1352b168cfc676e85ce788141884e1edcd6e2947a255c0dee122ee95dd2",
     "density-infer-silverman": "72cdc3ca663538d666798ab1e8c2842e66695f38825da3ac0463372b170abe07",
     "density-infer-fixed": "5ba5734a3a8810d84f0124c7fa7a5819af773f29a51e9c9f768723f7259b2ec3",
-    "density-infer-dpi-rho0.3": "671af37687544057b04a619e5eee6b1970394c8df1043549bc22666f63f5ec10",
+    "density-infer-dpi-rho0.3": "0cef45ec0e2d1bf84b13559d7e7f4e4bd208c395ea2b8e7d16e6082521507b88",
     "lpreg-infer-dpi": "9af83729523631ea777970dd4b165c9250384210c45386b7929178f0ec5ad03d",
     "lpreg-infer-rot": "babc285d32e3617ca2ebfa7fcab9d5fd65b5f7468e057190651c54a93cb0146c",
     "lpreg-infer-mse": "b14150a1ad97f5632f3d9e4ad83ff4336d49c2cd1b460e3235f02ac723efd795",
@@ -96,8 +97,9 @@ def mc_config(name) -> McConfig:
     if nn:
         settings.update(vce="nn")
     if rho:
-        # replication 7 draws an h at x = 1.5 with h / (h / 0.3) = 0.29999999999999993
-        settings.update(rho=float(rho), replications=8)
+        # replications 26 (x = 1.5) and 27 (x = 0) draw an h with
+        # h / (h / 0.3) = 0.29999999999999993
+        settings.update(rho=float(rho), replications=28)
     if estimator == "density":
         settings.update(model=1, evaluation_points=(0.0, 1.5))
     else:
@@ -120,8 +122,8 @@ def cli_argv(name, density_csv, regression_csv) -> list:
     rule, _, rho = rule.partition("-rho")
     data, x = (density_csv, "0.5") if estimator == "density" else (regression_csv, "0.2")
     if rho:
-        # the DPI h at x = 1.55 gives h / (h / 0.3) = 0.29999999999999993
-        return [estimator, "infer", "--data", data, "--x", "1.55", "--bw", rule, "--rho", rho]
+        # the DPI h at x = 1.54 gives h / (h / 0.3) = 0.29999999999999993
+        return [estimator, "infer", "--data", data, "--x", "1.54", "--bw", rule, "--rho", rho]
     argv = [estimator, "infer", "--data", data, "--x", x]
     if rule == "fixed":
         return argv + ["--h", "0.5"]

@@ -459,12 +459,30 @@ class TestConfigErrors:
         )
         assert cfg.bw_rule == "silverman"
 
-    def test_density_ignores_regression_degrees(self):
-        cfg = McConfig(
-            estimator="density", model=1, n=100, replications=5,
-            evaluation_points=(0.0,), p=2, q=2,
-        )
-        assert cfg.q == cfg.p
+    def test_density_rejects_regression_degrees(self):
+        with pytest.raises(ConfigError, match="density estimation never reads p=2, q=2"):
+            McConfig(
+                estimator="density", model=1, n=100, replications=5,
+                evaluation_points=(0.0,), p=2, q=2,
+            )
+
+    @pytest.mark.parametrize(
+        "overrides", [{"q": 5}, {"vce": "nn"}, {"nn_neighbors": 5}, {"boundary": True}],
+        ids=["q", "vce", "nn_neighbors", "boundary"],
+    )
+    def test_density_rejects_each_regression_setting(self, overrides):
+        ((name, _),) = overrides.items()
+        with pytest.raises(ConfigError, match=f"density estimation never reads {name}="):
+            McConfig(estimator="density", model=1, n=100, replications=5,
+                     evaluation_points=(0.0,), **overrides)
+
+    @pytest.mark.parametrize("estimator,model,p", [("density", 1, 1), ("lpreg", 5, 3)])
+    def test_q_defaults_to_p_plus_one(self, estimator, model, p):
+        cfg = McConfig(estimator=estimator, model=model, n=100, replications=5,
+                       evaluation_points=(0.0,), p=p)
+        assert cfg.q == p + 1
+        # the resolved q counts as unset, so a rebuilt config stays valid
+        assert replace(cfg, n=50).q == p + 1
 
     @pytest.mark.parametrize(
         "x_law",
